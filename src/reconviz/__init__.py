@@ -7,6 +7,8 @@ paths, and emits coordinated multi-chart views as deterministic SVG plus
 machine-readable specs.
 """
 
+__version__ = "0.1.0"  # defined before the submodules, which read it
+
 from .chartspec import (
     ChartSpec,
     ChartTemplate,
@@ -49,5 +51,3 @@ from .layout import arrange_grid, render_view
 from .charts import render_chart
 from .pipeline import TOOL_VERSION, Assembly, View, assemble, render_view_svg
 from .ranking import RankedPath, path_diversity, path_vis_relevance, rank_paths
-
-__version__ = "0.1.0"

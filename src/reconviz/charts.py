@@ -16,18 +16,7 @@ from datetime import date
 from .chartspec import Binding, ChartSpec
 from .combine import build_palette
 from .errors import DataMismatch, UnsupportedChartType
-from .ingest import (
-    Dataset,
-    Field,
-    GENOMIC,
-    IMAGE,
-    NETWORK,
-    SPATIAL,
-    TABULAR,
-    TREE,
-    TreeNode,
-    is_missing,
-)
+from .ingest import Dataset, Field, TABULAR, TreeNode, field_raw_values, is_missing, numeric_values
 from .svg import SvgBuilder, fmt
 
 CELL_W = 320.0
@@ -57,36 +46,6 @@ TABLE_MAX_COLS = 4
 ALIGN_MAX_POSITIONS = 40
 
 
-def field_raw_values(field: Field, dataset: Dataset) -> list[str]:
-    """Raw per-observation values for a bound field, in payload order."""
-    name = field.name
-    if dataset.dtype == TABULAR:
-        if name in dataset.payload.columns:
-            return list(dataset.payload.column(name))
-    elif dataset.dtype == TREE:
-        if name == "tip_label":
-            return dataset.payload.leaf_labels()
-        if dataset.associated is not None and name in dataset.associated.columns:
-            return list(dataset.associated.column(name))
-    elif dataset.dtype == GENOMIC:
-        if name == "seq_id":
-            return [rec_id for rec_id, _ in dataset.payload.records]
-        if dataset.associated is not None and name in dataset.associated.columns:
-            return list(dataset.associated.column(name))
-    elif dataset.dtype == SPATIAL:
-        return [str(feat.properties.get(name, "")) for feat in dataset.payload.features]
-    elif dataset.dtype == NETWORK:
-        if name == "node_id":
-            return dataset.payload.node_ids()
-        if name in dataset.payload.columns:
-            idx = dataset.payload.columns.index(name)
-            return [row[idx] for row in dataset.payload.rows]
-    elif dataset.dtype == IMAGE:
-        if name in dataset.associated.columns:
-            return list(dataset.associated.column(name))
-    raise DataMismatch(f"field {field.qualified_name} not present in dataset {dataset.id}")
-
-
 @dataclass
 class Resolved:
     """A spec binding resolved against the loaded data."""
@@ -106,18 +65,6 @@ def _resolve(spec: ChartSpec, channel: str, datasets, fields_by_key) -> Resolved
     if dataset is None:
         raise DataMismatch(f"{spec.id}: unknown dataset {binding.source}")
     return Resolved(field, field_raw_values(field, dataset))
-
-
-def _numeric(values: list[str]) -> list[float]:
-    out = []
-    for v in values:
-        if is_missing(v):
-            continue
-        try:
-            out.append(float(v))
-        except ValueError:
-            pass
-    return out
 
 
 def _iso_day(value: str) -> str | None:
@@ -251,7 +198,7 @@ def _scale_for(spec: ChartSpec, channel: str, resolved: Resolved):
     else:
         out_lo, out_hi = MARGIN_T, MARGIN_T + PLOT_H
     if resolved.field.numeric:
-        values = _numeric(resolved.values)
+        values = numeric_values(resolved.values)
         lo, hi = _axis_numeric_domain(spec, channel, values)
         return LinearScale(lo, hi, out_lo, out_hi)
     return BandScale(_domain_for(spec, channel, resolved), out_lo, out_hi)
@@ -356,7 +303,7 @@ def _render_bar(svg, spec, datasets, fields_by_key):
 
 def _render_histogram(svg, spec, datasets, fields_by_key):
     x = _resolve(spec, "x", datasets, fields_by_key)
-    values = _numeric(x.values)
+    values = numeric_values(x.values)
     lo, hi = _axis_numeric_domain(spec, "x", values)
     xs = LinearScale(lo, hi, MARGIN_L, MARGIN_L + PLOT_W)
     counts = [0] * HIST_BINS
@@ -436,7 +383,7 @@ def _bin_labels(resolved: Resolved, spec: ChartSpec, channel: str) -> tuple[list
             labels = [(_iso_day(v) or "") if not is_missing(v) else "" for v in raw]
             return labels, sorted({d for d in labels if d})
         return raw, sorted({v for v in raw if not is_missing(v)})
-    values = _numeric(raw)
+    values = numeric_values(raw)
     lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
     span = (hi - lo) or 1.0
     edges = [lo + span * i / 5 for i in range(6)]
@@ -524,11 +471,9 @@ def _render_tree(svg, spec, datasets, fields_by_key):
     leaf_color: dict[str, str] = {}
     if color is not None:
         dataset_ids = dataset.primary_ids()
-        key_col = dataset.associated_key
-        if dataset.associated is not None and key_col is not None and color.field.name in dataset.associated.columns:
-            keys = dataset.associated.column(key_col)
-            vals = dataset.associated.column(color.field.name)
-            mapping = {k.strip(): v.strip() for k, v in zip(keys, vals)}
+        if dataset.associated is not None and color.field.name not in root.raw_columns:
+            keys = dataset.associated.column(dataset.associated_key)
+            mapping = {k.strip(): v.strip() for k, v in zip(keys, color.values)}
             leaf_color = {i.strip(): mapping.get(i.strip(), "") for i in dataset_ids}
         else:
             leaf_color = {i.strip(): v.strip() for i, v in zip(dataset_ids, color.values)}
@@ -572,31 +517,33 @@ def _render_map(svg, spec, datasets, fields_by_key):
     xs = LinearScale(min(lons), max(lons), MARGIN_L, MARGIN_L + PLOT_W)
     ys = LinearScale(min(lats), max(lats), MARGIN_T + PLOT_H, MARGIN_T)
 
-    numeric_fill = None
+    fill_values = None
     if color is None:
         # fall back to a numeric property ramp when no categorical color bound
         numeric_props = sorted(
             {f.name for f in fields_by_key.values() if f.source_id == dataset.id and f.numeric}
         )
         if numeric_props:
-            numeric_fill = numeric_props[0]
-            values = _numeric([str(feat.properties.get(numeric_fill, "")) for feat in dataset.payload.features])
+            fill_values = dataset.raw_columns[numeric_props[0]]
+            values = numeric_values(fill_values)
             lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
 
-    for feat in sorted(dataset.payload.features, key=lambda f: str(sorted(f.properties.items()))):
+    features = dataset.payload.features
+    for i in sorted(range(len(features)), key=lambda k: str(sorted(features[k].properties.items()))):
+        feat = features[i]
         fill = "#e8e8e8"
         attrs = {}
         if color is not None:
-            cat = str(feat.properties.get(color.field.name, "")).strip()
+            cat = color.values[i].strip()
             if cat:
                 fill = palette.get(cat, "#e8e8e8")
                 attrs["data-category"] = cat
-        elif numeric_fill is not None:
+        elif fill_values is not None:
             try:
-                v = float(feat.properties.get(numeric_fill, ""))
+                v = float(fill_values[i])
                 t = (v - lo) / ((hi - lo) or 1.0)
                 fill = RAMP5[min(4, int(t * 5))]
-            except (TypeError, ValueError):
+            except ValueError:
                 pass
         for poly in feat.polygons:
             svg.polygon([(xs(lon), ys(lat)) for lon, lat in poly], fill=fill,

@@ -22,7 +22,7 @@ from pathlib import Path
 from .chartspec import ChartSpec
 from .entitygraph import NodeKey
 from .errors import ConfigError, MultipleImmutable, UnresolvableOrientation
-from .ingest import Dataset, Field, is_missing
+from .ingest import Dataset, Field, field_raw_values, numeric_values
 
 IMMUTABLE_CHART_TYPES = frozenset({"phylogenetic tree", "geographic map", "image"})
 
@@ -357,7 +357,9 @@ def bind_alignment(
         if numeric_axis:
             lows, highs = [], []
             for field in member_fields:
-                values = _numeric_values(field, datasets)
+                if field is None or not field.numeric:
+                    continue
+                values = numeric_values(field_raw_values(field, datasets[field.source_id]))
                 if values:
                     lows.append(min(values))
                     highs.append(max(values))
@@ -393,17 +395,3 @@ def bind_alignment(
         spec.annotations["render_ready"] = True
     return [out[spec.id] for spec in specs]
 
-
-def _numeric_values(field: Field | None, datasets: dict[str, Dataset]) -> list[float]:
-    if field is None or not field.numeric:
-        return []
-    from .charts import field_raw_values  # late import; charts knows payload shapes
-
-    values = []
-    for raw in field_raw_values(field, datasets[field.source_id]):
-        if not is_missing(raw):
-            try:
-                values.append(float(raw))
-            except ValueError:
-                pass
-    return values

@@ -142,13 +142,17 @@ class EntityGraph:
         return json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True) + "\n"
 
 
-def build_entity_graph(fields: list[Field], min_jaccard: float = 0.0) -> EntityGraph:
+def build_entity_graph(
+    fields: list[Field], min_jaccard: float = 0.0, dtypes: dict[str, str] | None = None
+) -> EntityGraph:
     """One hub per dataset, one spoke per field, and a linkage edge for every
-    cross-dataset non-numeric pair with J > min_jaccard."""
+    cross-dataset non-numeric pair with J > min_jaccard. `dtypes` maps a
+    dataset id to the data type recorded on its hub ("" when absent)."""
+    dtypes = dtypes or {}
     hubs: dict[str, str] = {}
     spokes: dict[NodeKey, Field] = {}
     for field in fields:
-        hubs.setdefault(field.source_id, "")
+        hubs.setdefault(field.source_id, dtypes.get(field.source_id, ""))
         spokes[spoke_key(field)] = field
 
     threshold = max(Fraction(0), Fraction(min_jaccard).limit_denominator(10**9))
@@ -166,11 +170,6 @@ def build_entity_graph(fields: list[Field], min_jaccard: float = 0.0) -> EntityG
             if weight > threshold:
                 links[(ka, kb)] = weight
     return EntityGraph(hubs, spokes, links)
-
-
-def set_hub_dtypes(graph: EntityGraph, dtypes: dict[str, str]) -> None:
-    for ds_id in graph.hubs:
-        graph.hubs[ds_id] = dtypes.get(ds_id, "")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@ attribute fields.
 
 Supported inputs: CSV tables, Newick trees, FASTA sequence sets, GeoJSON
 polygon collections, CSV edge lists, and raster images with a sidecar table.
-Each dataset yields one Field per attribute (column, tip label, sequence id,
-feature property, node id, or sidecar column) carrying kind and cardinality
-metadata used for linkage and slot assignment downstream.
+Each payload exposes its raw values as one ordered name -> column mapping
+(`raw_columns`); every dataset yields one Field per such column (table
+column, tip label, sequence id, feature property, node id, or sidecar
+column) carrying kind and cardinality metadata used for linkage and slot
+assignment downstream, and charts read bound values from the same mapping.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import io
 import json
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
 
-from .errors import AllMissing, ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
+from .errors import AllMissing, ConfigError, DataMismatch, DuplicateDatasetId, KeyMismatch, ParseError
 
 MISSING_MARKERS = {"", "na", "nan", "null"}
 
@@ -47,6 +50,19 @@ def looks_numeric(value: str) -> bool:
     return bool(_NUMBER_RE.match(value.strip()))
 
 
+def numeric_values(raw: list[str]) -> list[float]:
+    """The values of `raw` that parse as numbers; missing markers are skipped."""
+    out = []
+    for v in raw:
+        if is_missing(v):
+            continue
+        try:
+            out.append(float(v))
+        except ValueError:
+            pass
+    return out
+
+
 @dataclass(frozen=True)
 class Table:
     columns: tuple[str, ...]
@@ -55,6 +71,10 @@ class Table:
     def column(self, name: str) -> list[str]:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
+
+    @property
+    def raw_columns(self) -> dict[str, list[str]]:
+        return {name: [row[i] for row in self.rows] for i, name in enumerate(self.columns)}
 
 
 @dataclass
@@ -82,10 +102,18 @@ class TreeNode:
             return self.length or 0.0
         return (self.length or 0.0) + max(c.max_depth() for c in self.children)
 
+    @property
+    def raw_columns(self) -> dict[str, list[str]]:
+        return {"tip_label": self.leaf_labels()}
+
 
 @dataclass(frozen=True)
 class SequenceSet:
     records: tuple[tuple[str, str], ...]  # (id, sequence)
+
+    @property
+    def raw_columns(self) -> dict[str, list[str]]:
+        return {"seq_id": [rec_id for rec_id, _ in self.records]}
 
 
 @dataclass(frozen=True)
@@ -94,9 +122,21 @@ class Feature:
     polygons: tuple  # tuple of polygons; each polygon is a tuple of (lon, lat) ring points
 
 
+def _property_text(value) -> str:
+    return "" if value is None else str(value)
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     features: tuple[Feature, ...]
+
+    @property
+    def raw_columns(self) -> dict[str, list[str]]:
+        """One column per property name, in first-seen order; an absent or
+        JSON null property reads as the empty (missing) string."""
+        names = dict.fromkeys(prop for feat in self.features for prop in feat.properties)
+        return {name: [_property_text(feat.properties.get(name)) for feat in self.features]
+                for name in names}
 
 
 @dataclass(frozen=True)
@@ -115,13 +155,25 @@ class EdgeTable:
                     seen.append(v)
         return seen
 
+    @property
+    def raw_columns(self) -> dict[str, list[str]]:
+        """Node ids first; an attribute column also named `node_id` is shadowed."""
+        columns = {"node_id": self.node_ids()}
+        for i, name in enumerate(self.columns[2:], start=2):
+            columns.setdefault(name, [row[i] for row in self.rows])
+        return columns
+
 
 @dataclass(frozen=True)
 class ImageRef:
     path: str
 
+    @property
+    def raw_columns(self) -> dict[str, list[str]]:
+        return {}  # the lanes live in the sidecar table
 
-@dataclass
+
+@dataclass(frozen=True)
 class Dataset:
     id: str
     dtype: str
@@ -129,32 +181,20 @@ class Dataset:
     associated: Table | None = None
     associated_key: str | None = None  # column of `associated` matching primary ids
 
-    def row_count(self) -> int:
-        if self.dtype == TABULAR:
-            return len(self.payload.rows)
-        if self.dtype == TREE:
-            return len(self.payload.leaves())
-        if self.dtype == GENOMIC:
-            return len(self.payload.records)
-        if self.dtype == SPATIAL:
-            return len(self.payload.features)
-        if self.dtype == NETWORK:
-            return len(self.payload.node_ids())
-        if self.dtype == IMAGE:
-            return len(self.associated.rows)
-        raise ValueError(self.dtype)
+    @cached_property
+    def raw_columns(self) -> dict[str, list[str]]:
+        """Raw per-observation values by field name, in payload order: the
+        primary payload's columns, then the associated table's. On a name
+        clash the primary payload's column wins."""
+        columns = self.payload.raw_columns
+        if self.associated is not None:
+            for name, values in self.associated.raw_columns.items():
+                columns.setdefault(name, values)
+        return columns
 
     def primary_ids(self) -> list[str]:
-        """Row identifiers of the primary payload, in payload order."""
-        if self.dtype == TREE:
-            return self.payload.leaf_labels()
-        if self.dtype == GENOMIC:
-            return [rec_id for rec_id, _ in self.payload.records]
-        if self.dtype == IMAGE:
-            return [row[0] for row in self.associated.rows]
-        if self.dtype == NETWORK:
-            return self.payload.node_ids()
-        raise ValueError(f"{self.dtype} datasets have no primary id axis")
+        """Row identifiers of the primary payload (its first column), in payload order."""
+        return next(iter(self.raw_columns.values()), [])
 
 
 @dataclass(frozen=True)
@@ -209,16 +249,24 @@ def classify_field(raw_values: list[str]) -> tuple[str, int | None]:
     return "non-numeric", len(set(present))
 
 
-def _make_field(name: str, source_id: str, raw_values: list[str], row_count: int) -> Field | None:
+def _make_field(name: str, source_id: str, raw_values: list[str]) -> Field | None:
     """Build a Field, or None when the column is entirely missing."""
     try:
         kind, cardinality = classify_field(raw_values)
     except AllMissing:
         return None
     if kind == "numeric":
-        return Field(name, source_id, kind, None, None, row_count)
+        return Field(name, source_id, kind, None, None, len(raw_values))
     values = frozenset(v.strip() for v in raw_values if not is_missing(v))
-    return Field(name, source_id, kind, cardinality, values, row_count)
+    return Field(name, source_id, kind, cardinality, values, len(raw_values))
+
+
+def field_raw_values(field: Field, dataset: Dataset) -> list[str]:
+    """Raw per-observation values for a field, in payload order (shared; do not mutate)."""
+    values = dataset.raw_columns.get(field.name)
+    if values is None:
+        raise DataMismatch(f"field {field.qualified_name} not present in dataset {dataset.id}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +475,30 @@ def _read_edge_list(path: Path) -> EdgeTable:
     return EdgeTable(table.columns, table.rows)
 
 
-def _attach_associated(dataset: Dataset, table: Table) -> None:
-    """Attach a metadata table, keyed on the column best matching primary ids."""
-    ids = set(dataset.primary_ids())
+_READERS = {
+    TABULAR: lambda path: _read_csv_table(path, TABULAR),
+    TREE: _read_tree,
+    GENOMIC: _read_fasta,
+    SPATIAL: _read_geojson,
+    NETWORK: _read_edge_list,
+}
+
+
+def _associated_key(dataset_id: str, payload, table: Table) -> str:
+    """The metadata column best matching the payload's row ids (its first column)."""
+    ids = set(next(iter(payload.raw_columns.values())))
     best_col = None
     best_overlap = 0
-    for col in table.columns:
-        overlap = len(ids.intersection(v.strip() for v in table.column(col)))
+    for col, values in table.raw_columns.items():
+        overlap = len(ids.intersection(v.strip() for v in values))
         if overlap > best_overlap:
             best_overlap = overlap
             best_col = col
     if best_col is None:
         raise KeyMismatch(
-            f"associated table for {dataset.id!r} shares no key values with the primary payload"
+            f"associated table for {dataset_id!r} shares no key values with the primary payload"
         )
-    dataset.associated = table
-    dataset.associated_key = best_col
+    return best_col
 
 
 def load_dataset(
@@ -461,30 +517,20 @@ def load_dataset(
         raise ConfigError(f"associated tables are not supported for {dtype} data")
     ds_id = dataset_id or path.stem
 
-    if dtype == TABULAR:
-        dataset = Dataset(ds_id, dtype, _read_csv_table(path, TABULAR))
-    elif dtype == TREE:
-        dataset = Dataset(ds_id, dtype, _read_tree(path))
-    elif dtype == GENOMIC:
-        dataset = Dataset(ds_id, dtype, _read_fasta(path))
-    elif dtype == SPATIAL:
-        dataset = Dataset(ds_id, dtype, _read_geojson(path))
-    elif dtype == NETWORK:
-        dataset = Dataset(ds_id, dtype, _read_edge_list(path))
-    else:  # IMAGE
+    if dtype == IMAGE:
         if associated_path is None:
             raise ParseError(IMAGE, str(path), "image data requires a sidecar table")
         sidecar = _read_csv_table(Path(associated_path), IMAGE)
-        dataset = Dataset(ds_id, dtype, ImageRef(str(path)), associated=sidecar,
-                          associated_key=sidecar.columns[0])
-        return dataset
+        return Dataset(ds_id, dtype, ImageRef(str(path)), sidecar, sidecar.columns[0])
 
-    if associated_path is not None:
-        assoc_path = Path(associated_path)
-        if not assoc_path.exists():
-            raise FileNotFoundError(str(assoc_path))
-        _attach_associated(dataset, _read_csv_table(assoc_path, TABULAR))
-    return dataset
+    payload = _READERS[dtype](path)
+    if associated_path is None:
+        return Dataset(ds_id, dtype, payload)
+    assoc_path = Path(associated_path)
+    if not assoc_path.exists():
+        raise FileNotFoundError(str(assoc_path))
+    table = _read_csv_table(assoc_path, TABULAR)
+    return Dataset(ds_id, dtype, payload, table, _associated_key(ds_id, payload, table))
 
 
 # ---------------------------------------------------------------------------
@@ -492,46 +538,11 @@ def load_dataset(
 # ---------------------------------------------------------------------------
 
 def _dataset_fields(dataset: Dataset) -> list[Field]:
-    fields: list[Field] = []
-    rows = dataset.row_count()
-
-    def add(name: str, values: list[str], row_count: int) -> None:
-        built = _make_field(name, dataset.id, values, row_count)
+    fields = []
+    for name, values in dataset.raw_columns.items():
+        built = _make_field(name, dataset.id, values)
         if built is not None:
             fields.append(built)
-
-    if dataset.dtype == TABULAR:
-        for col in dataset.payload.columns:
-            add(col, dataset.payload.column(col), rows)
-    elif dataset.dtype == TREE:
-        add("tip_label", dataset.payload.leaf_labels(), rows)
-    elif dataset.dtype == GENOMIC:
-        add("seq_id", [rec_id for rec_id, _ in dataset.payload.records], rows)
-    elif dataset.dtype == SPATIAL:
-        names: list[str] = []
-        for feat in dataset.payload.features:
-            for prop in feat.properties:
-                if prop not in names:
-                    names.append(prop)
-        for prop in names:
-            values = [str(feat.properties.get(prop, "")) for feat in dataset.payload.features]
-            add(prop, values, rows)
-    elif dataset.dtype == NETWORK:
-        node_ids = dataset.payload.node_ids()
-        add("node_id", node_ids, len(node_ids))
-        for col in dataset.payload.columns[2:]:
-            idx = dataset.payload.columns.index(col)
-            add(col, [row[idx] for row in dataset.payload.rows], len(dataset.payload.rows))
-    elif dataset.dtype == IMAGE:
-        for col in dataset.associated.columns:
-            add(col, dataset.associated.column(col), rows)
-
-    if dataset.dtype in (TREE, GENOMIC) and dataset.associated is not None:
-        assoc_rows = len(dataset.associated.rows)
-        for col in dataset.associated.columns:
-            built = _make_field(col, dataset.id, dataset.associated.column(col), assoc_rows)
-            if built is not None:
-                fields.append(built)
     return fields
 
 

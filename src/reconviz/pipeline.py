@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import __version__
 from .chartspec import (
     ChartSpec,
     ChartTemplate,
@@ -20,12 +21,12 @@ from .chartspec import (
 from .charts import render_chart
 from .combine import CombinationPlan, FieldIndex, ViabilityMatrix, bind_alignment, build_plan
 from .designspace import RelevanceTable, TypeEncodingMap
-from .entitygraph import EntityGraph, build_entity_graph, set_hub_dtypes
+from .entitygraph import EntityGraph, build_entity_graph
 from .ingest import Dataset, Field, FieldMetadata, explode_fields
 from .layout import ViewLayout, arrange_grid, render_view
 from .ranking import RankedPath, rank_paths
 
-TOOL_VERSION = "reconviz 0.1.0"
+TOOL_VERSION = f"reconviz {__version__}"
 
 DEFAULT_MAX_VIEWS_PER_COMPONENT = 10
 
@@ -65,8 +66,7 @@ class Assembly:
 
 def build_graph(datasets: list[Dataset], min_jaccard: float = 0.0):
     fields, metadata = explode_fields(datasets)
-    graph = build_entity_graph(fields, min_jaccard)
-    set_hub_dtypes(graph, {d.id: d.dtype for d in datasets})
+    graph = build_entity_graph(fields, min_jaccard, {d.id: d.dtype for d in datasets})
     return fields, metadata, graph
 
 

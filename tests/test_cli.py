@@ -1,7 +1,9 @@
 import json
 
 import jsonschema
+import pytest
 
+import reconviz
 from reconviz.cli import main
 from reconviz.config import ASSETS_DIR
 
@@ -188,6 +190,12 @@ class TestRelevance:
 
 
 class TestUsageAndDeterminism:
+    def test_version_flag_prints_package_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"reconviz {reconviz.__version__}\n"
+
     def test_missing_config_flag_is_usage_error(self):
         assert run(["specs"]) == 3
 

@@ -13,7 +13,6 @@ from reconviz.entitygraph import (
     jaccard,
     path_strength,
     render_entity_graph,
-    set_hub_dtypes,
 )
 from reconviz.errors import EmptySet
 from reconviz.ingest import Field, load_dataset, explode_fields
@@ -293,8 +292,7 @@ class TestRenderGraph:
             for m in fig1_manifest
         ]
         fields, _ = explode_fields(datasets)
-        graph = build_entity_graph(fields)
-        set_hub_dtypes(graph, {d.id: d.dtype for d in datasets})
+        graph = build_entity_graph(fields, dtypes={d.id: d.dtype for d in datasets})
         svg = render_entity_graph(graph)
         assert svg.count('class="link-inexact"') == 1
         assert svg.count('class="link-exact"') == 1

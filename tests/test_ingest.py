@@ -1,21 +1,38 @@
 import csv
 import io
+import json
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from reconviz.entitygraph import build_entity_graph, spoke_key
 from reconviz.errors import AllMissing, ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
 from reconviz.ingest import (
     Dataset,
     Table,
     classify_field,
     explode_fields,
+    field_raw_values,
+    is_missing,
     load_dataset,
     parse_newick,
 )
 
 from conftest import SAMPLE_IDS, SYNTH_LEAF_ORDER, synthetic_manifest
+
+
+def load_all(manifest):
+    return [load_dataset(m["path"], m["dtype"], m.get("associated"), dataset_id=m["id"])
+            for m in manifest]
+
+
+def write_geojson(path, properties):
+    ring = [[0, 0], [1, 0], [1, 1], [0, 0]]
+    features = [{"type": "Feature", "properties": props,
+                 "geometry": {"type": "Polygon", "coordinates": [ring]}}
+                for props in properties]
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
 
 
 def make_table(columns, rows):
@@ -146,6 +163,16 @@ class TestLoadDataset:
         assert by_name["country"].kind == "non-numeric"
         assert by_name["cases"].kind == "numeric"
 
+    def test_geojson_null_property_is_missing(self, tmp_path):
+        path = tmp_path / "regions.geojson"
+        write_geojson(path, [{"name": "r1", "pop": None}, {"name": "r2", "pop": 5}])
+        ds = load_dataset(path, "spatial")
+        fields, _ = explode_fields([ds])
+        pop = next(f for f in fields if f.name == "pop")
+        assert pop.kind == "numeric"
+        assert pop.row_count == 2
+        assert ds.raw_columns["pop"] == ["", "5"]
+
     def test_geojson_rejects_non_feature_collection(self, tmp_path):
         path = tmp_path / "bad.geojson"
         path.write_text('{"type": "Point", "coordinates": [0, 0]}')
@@ -261,3 +288,39 @@ class TestExplodeFields:
             assert row["cardinality"] == expected_card
             if field.values is not None:
                 assert row["sample_values"].split(";") == sorted(field.values)[:5]
+
+
+class TestColumnAccess:
+    def test_primary_column_wins_name_clash(self, tmp_path):
+        (tmp_path / "tree.nwk").write_text("((a,b),(c,d));")
+        (tmp_path / "meta.csv").write_text("tip,tip_label\na,x\nb,y\nc,x\nd,y\n")
+        (tmp_path / "net.csv").write_text("source,target,node_id\nn1,n2,k1\nn2,n3,k2\n")
+        tree = load_dataset(tmp_path / "tree.nwk", "tree", tmp_path / "meta.csv")
+        net = load_dataset(tmp_path / "net.csv", "network")
+        fields, _ = explode_fields([tree, net])
+        graph = build_entity_graph(fields)
+        by_id = {tree.id: tree, net.id: net}
+        expected = {("tree", "tip_label"): {"a", "b", "c", "d"},
+                    ("net", "node_id"): {"n1", "n2", "n3"}}
+        for (source, name), values in expected.items():
+            matches = [f for f in fields if (f.source_id, f.name) == (source, name)]
+            assert len(matches) == 1
+            assert matches[0].values == values
+            assert graph.fields[spoke_key(matches[0])].values == values
+            assert set(field_raw_values(matches[0], by_id[source])) == values
+
+    def test_raw_values_agree_with_exploded_fields(self, synthetic_dir, fig1_manifest, tmp_path):
+        (tmp_path / "net.csv").write_text("source,target,kind\nn1,n2,contact\nn2,n3,NA\n")
+        network = load_dataset(tmp_path / "net.csv", "network")
+        dtypes = set()
+        # the two fixtures reuse dataset ids, so each is exploded on its own
+        for group in (load_all(synthetic_manifest(synthetic_dir)), load_all(fig1_manifest) + [network]):
+            by_id = {d.id: d for d in group}
+            fields, _ = explode_fields(group)
+            for field in fields:
+                raw = field_raw_values(field, by_id[field.source_id])
+                assert len(raw) == field.row_count
+                if not field.numeric:
+                    assert {v.strip() for v in raw if not is_missing(v)} == field.values
+            dtypes |= {d.dtype for d in group}
+        assert dtypes == {"tabular", "tree", "genomic", "spatial", "network", "image"}

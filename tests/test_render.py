@@ -250,6 +250,21 @@ class TestChartFragments:
         fills = {p.get("fill") for p in polys}
         assert len(fills) > 1  # the cases ramp differentiates regions
 
+    def test_map_null_color_property_draws_no_category(self, tmp_path):
+        ring = [[0, 0], [1, 0], [1, 1], [0, 0]]
+        features = [{"type": "Feature", "properties": {"zone": zone},
+                     "geometry": {"type": "Polygon", "coordinates": [ring]}}
+                    for zone in ("A", None, "B")]
+        (tmp_path / "zones.geojson").write_text(
+            json.dumps({"type": "FeatureCollection", "features": features}))
+        zones = load_dataset(tmp_path / "zones.geojson", "spatial", dataset_id="zones")
+        fields, _ = explode_fields([zones])
+        spec = simple_spec("zones:geographic map", "geographic map", "zones",
+                           x="zones.zone", color="zones.zone")
+        polys = marks(render_chart(spec, {"zones": zones}, fields), "polygon")
+        assert len(polys) == 3
+        assert sorted(p.get("data-category") or "" for p in polys) == ["", "A", "B"]
+
 
 class TestArrangeGrid:
     def make_specs(self, plan_members):
