@@ -16,7 +16,9 @@ from datetime import date
 from .chartspec import Binding, ChartSpec
 from .combine import build_palette
 from .errors import DataMismatch, UnsupportedChartType
-from .ingest import Dataset, Field, TABULAR, TreeNode, field_raw_values, is_missing, numeric_values
+from .ingest import (
+    Dataset, Field, TABULAR, TreeNode, extent, field_raw_values, is_missing, numeric_values,
+)
 from .svg import SvgBuilder, fmt
 
 CELL_W = 320.0
@@ -84,8 +86,14 @@ class LinearScale:
         t = (value - self.lo) / (self.hi - self.lo)
         return self.out_lo + t * (self.out_hi - self.out_lo)
 
-    def ticks(self, n: int = 4) -> list[float]:
-        return [self.lo + (self.hi - self.lo) * i / n for i in range(n + 1)]
+    def position(self, raw: str) -> float:
+        """Position of a present value of a numeric field (it parses as a number)."""
+        return self(float(raw))
+
+    def tick_marks(self, max_labels: int) -> list[tuple[float, str | None]]:
+        """Five evenly spaced ticks, always labeled."""
+        values = [self.lo + (self.hi - self.lo) * i / 4 for i in range(5)]
+        return [(self(v), fmt(v)) for v in values]
 
 
 class BandScale:
@@ -95,11 +103,17 @@ class BandScale:
         self.step = (out_hi - out_lo) / max(1, len(self.domain))
         self.index = {cat: i for i, cat in enumerate(self.domain)}
 
-    def center(self, cat: str) -> float | None:
-        i = self.index.get(cat)
+    def position(self, raw: str) -> float | None:
+        """Center of the category's band, or None for a category outside the domain."""
+        i = self.index.get(raw)
         if i is None:
             return None
         return self.out_lo + self.step * (i + 0.5)
+
+    def tick_marks(self, max_labels: int) -> list[tuple[float, str | None]]:
+        """One tick per category; labels only when at most `max_labels` categories."""
+        show = len(self.domain) <= max_labels
+        return [(self.position(cat), _clip(cat, 9) if show else None) for cat in self.domain]
 
 
 def _palette_for(spec: ChartSpec, color: Resolved | None) -> dict[str, str]:
@@ -138,36 +152,18 @@ def _axes(svg: SvgBuilder) -> None:
              stroke=AXIS_COLOR, stroke_width=1)
 
 
-def _categorical_ticks(svg: SvgBuilder, scale: BandScale, axis: str, max_labels: int = 20) -> None:
-    show = len(scale.domain) <= max_labels
-    for cat in scale.domain:
-        pos = scale.center(cat)
-        if pos is None:
-            continue
+def _ticks(svg: SvgBuilder, scale: LinearScale | BandScale, axis: str, max_labels: int = 20) -> None:
+    for pos, label in scale.tick_marks(max_labels):
         if axis == "x":
             svg.line(pos, MARGIN_T + PLOT_H, pos, MARGIN_T + PLOT_H + 4, stroke=AXIS_COLOR, stroke_width=1)
-            if show:
-                svg.text(pos, MARGIN_T + PLOT_H + 15, _clip(cat, 9), font_size=8, fill=AXIS_COLOR,
+            if label is not None:
+                svg.text(pos, MARGIN_T + PLOT_H + 15, label, font_size=8, fill=AXIS_COLOR,
                          text_anchor="middle", font_family="sans-serif", **{"class": "tick-x"})
         else:
             svg.line(MARGIN_L - 4, pos, MARGIN_L, pos, stroke=AXIS_COLOR, stroke_width=1)
-            if show:
-                svg.text(MARGIN_L - 6, pos + 2.5, _clip(cat, 9), font_size=8, fill=AXIS_COLOR,
+            if label is not None:
+                svg.text(MARGIN_L - 6, pos + 2.5, label, font_size=8, fill=AXIS_COLOR,
                          text_anchor="end", font_family="sans-serif", **{"class": "tick-y"})
-
-
-def _numeric_ticks(svg: SvgBuilder, scale: LinearScale, axis: str) -> None:
-    for value in scale.ticks():
-        pos = scale(value)
-        label = fmt(value)
-        if axis == "x":
-            svg.line(pos, MARGIN_T + PLOT_H, pos, MARGIN_T + PLOT_H + 4, stroke=AXIS_COLOR, stroke_width=1)
-            svg.text(pos, MARGIN_T + PLOT_H + 15, label, font_size=8, fill=AXIS_COLOR,
-                     text_anchor="middle", font_family="sans-serif", **{"class": "tick-x"})
-        else:
-            svg.line(MARGIN_L - 4, pos, MARGIN_L, pos, stroke=AXIS_COLOR, stroke_width=1)
-            svg.text(MARGIN_L - 6, pos + 2.5, label, font_size=8, fill=AXIS_COLOR,
-                     text_anchor="end", font_family="sans-serif", **{"class": "tick-y"})
 
 
 def _clip(text: str, limit: int) -> str:
@@ -179,16 +175,14 @@ def _domain_for(spec: ChartSpec, channel: str, resolved: Resolved) -> list[str]:
     shared axis, otherwise sorted distinct values."""
     if spec.annotations.get("shared_axis") == channel and spec.annotations.get("domain_order"):
         return list(spec.annotations["domain_order"])
-    return sorted({v.strip() for v in resolved.values if not is_missing(v)})
+    return sorted(resolved.field.values)
 
 
 def _axis_numeric_domain(spec: ChartSpec, channel: str, values: list[float]) -> tuple[float, float]:
     if spec.annotations.get("shared_axis") == channel and spec.annotations.get("axis_domain"):
         lo, hi = spec.annotations["axis_domain"]
         return float(lo), float(hi)
-    if not values:
-        return 0.0, 1.0
-    return min(values), max(values)
+    return extent(values)
 
 
 def _scale_for(spec: ChartSpec, channel: str, resolved: Resolved):
@@ -220,28 +214,34 @@ def _legend(svg: SvgBuilder, palette: dict[str, str], used: list[str]) -> None:
 # Renderers
 # ---------------------------------------------------------------------------
 
-def _render_scatter(svg, spec, datasets, fields_by_key):
+def _xy_axes(svg, spec, datasets, fields_by_key):
+    """Resolve and scale both positional channels and draw their axes and ticks."""
     x = _resolve(spec, "x", datasets, fields_by_key)
     y = _resolve(spec, "y", datasets, fields_by_key)
-    color = _resolve(spec, "color", datasets, fields_by_key)
-    palette = _palette_for(spec, color)
     xs = _scale_for(spec, "x", x)
     ys = _scale_for(spec, "y", y)
     _axes(svg)
-    for axis, scale in (("x", xs), ("y", ys)):
-        if isinstance(scale, BandScale):
-            _categorical_ticks(svg, scale, axis)
-        else:
-            _numeric_ticks(svg, scale, axis)
-    n = min(len(x.values), len(y.values))
-    for i in range(n):
+    _ticks(svg, xs, "x")
+    _ticks(svg, ys, "y")
+    return x, y, xs, ys
+
+
+def _xy_points(x: Resolved, y: Resolved, xs, ys):
+    """(row, x raw, px, py) for every row with both values present and placeable."""
+    for i in range(min(len(x.values), len(y.values))):
         xv, yv = x.values[i].strip(), y.values[i].strip()
         if is_missing(xv) or is_missing(yv):
             continue
-        px = xs(float(xv)) if isinstance(xs, LinearScale) else xs.center(xv)
-        py = ys(float(yv)) if isinstance(ys, LinearScale) else ys.center(yv)
-        if px is None or py is None:
-            continue
+        px, py = xs.position(xv), ys.position(yv)
+        if px is not None and py is not None:
+            yield i, xv, px, py
+
+
+def _render_scatter(svg, spec, datasets, fields_by_key):
+    x, y, xs, ys = _xy_axes(svg, spec, datasets, fields_by_key)
+    color = _resolve(spec, "color", datasets, fields_by_key)
+    palette = _palette_for(spec, color)
+    for i, _, px, py in _xy_points(x, y, xs, ys):
         attrs = {"fill": MARK_COLOR}
         if color is not None and i < len(color.values) and not is_missing(color.values[i]):
             cat = color.values[i].strip()
@@ -274,11 +274,11 @@ def _render_bar(svg, spec, datasets, fields_by_key):
     top = max(counts.values(), default=0) or 1
     ys = LinearScale(0, top, MARGIN_T + PLOT_H, MARGIN_T)
     _axes(svg)
-    _categorical_ticks(svg, xs, "x")
-    _numeric_ticks(svg, ys, "y")
+    _ticks(svg, xs, "x")
+    _ticks(svg, ys, "y")
     width = xs.step * 0.7
     for cat in domain:
-        center = xs.center(cat)
+        center = xs.position(cat)
         if center is None or counts[cat] == 0:
             continue
         if color is not None and stacks[cat]:
@@ -314,8 +314,8 @@ def _render_histogram(svg, spec, datasets, fields_by_key):
     top = max(counts) or 1
     ys = LinearScale(0, top, MARGIN_T + PLOT_H, MARGIN_T)
     _axes(svg)
-    _numeric_ticks(svg, xs, "x")
-    _numeric_ticks(svg, ys, "y")
+    _ticks(svg, xs, "x")
+    _ticks(svg, ys, "y")
     bin_w = PLOT_W / HIST_BINS
     for i, count in enumerate(counts):
         if count == 0:
@@ -327,38 +327,11 @@ def _render_histogram(svg, spec, datasets, fields_by_key):
 
 
 def _render_line(svg, spec, datasets, fields_by_key):
-    x = _resolve(spec, "x", datasets, fields_by_key)
-    y = _resolve(spec, "y", datasets, fields_by_key)
-    xs = _scale_for(spec, "x", x)
-    ys = _scale_for(spec, "y", y)
-    _axes(svg)
-    for axis, scale in (("x", xs), ("y", ys)):
-        if isinstance(scale, BandScale):
-            _categorical_ticks(svg, scale, axis)
-        else:
-            _numeric_ticks(svg, scale, axis)
-    points = []
-    n = min(len(x.values), len(y.values))
-    for i in range(n):
-        xv, yv = x.values[i].strip(), y.values[i].strip()
-        if is_missing(xv) or is_missing(yv):
-            continue
-        if isinstance(xs, LinearScale):
-            try:
-                sort_key = float(xv)
-            except ValueError:
-                continue
-            px = xs(sort_key)
-        else:
-            px = xs.center(xv)
-            sort_key = xs.index.get(xv, 0)
-        try:
-            py = ys(float(yv)) if isinstance(ys, LinearScale) else ys.center(yv)
-        except ValueError:
-            continue
-        if px is None or py is None:
-            continue
-        points.append((sort_key, px, py))
+    x, y, xs, ys = _xy_axes(svg, spec, datasets, fields_by_key)
+    # band positions grow with the category index; numbers sort by value, which
+    # stays exact where nearby values round to one position
+    points = [(float(xv) if x.field.numeric else px, px, py)
+              for _, xv, px, py in _xy_points(x, y, xs, ys)]
     points.sort(key=lambda p: (p[0], p[1]))
     if points:
         svg.polyline([(px, py) for _, px, py in points], stroke=MARK_COLOR, stroke_width=1.5,
@@ -382,9 +355,8 @@ def _bin_labels(resolved: Resolved, spec: ChartSpec, channel: str) -> tuple[list
         if days and all(d is not None for d in days):
             labels = [(_iso_day(v) or "") if not is_missing(v) else "" for v in raw]
             return labels, sorted({d for d in labels if d})
-        return raw, sorted({v for v in raw if not is_missing(v)})
-    values = numeric_values(raw)
-    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+        return raw, sorted(resolved.field.values)
+    lo, hi = extent(numeric_values(raw))
     span = (hi - lo) or 1.0
     edges = [lo + span * i / 5 for i in range(6)]
     domain = [f"{fmt(edges[i])}–{fmt(edges[i + 1])}" for i in range(5)]
@@ -392,12 +364,8 @@ def _bin_labels(resolved: Resolved, spec: ChartSpec, channel: str) -> tuple[list
     for v in raw:
         if is_missing(v):
             labels.append("")
-            continue
-        try:
-            idx = min(4, max(0, int((float(v) - lo) / span * 5)))
-            labels.append(domain[idx])
-        except ValueError:
-            labels.append("")
+        else:
+            labels.append(domain[min(4, max(0, int((float(v) - lo) / span * 5)))])
     return labels, domain
 
 
@@ -416,10 +384,10 @@ def _render_heatmap(svg, spec, datasets, fields_by_key):
         counts[(cx, cy)] = counts.get((cx, cy), 0) + 1
     top = max(counts.values(), default=1)
     _axes(svg)
-    _categorical_ticks(svg, xs, "x", max_labels=12)
-    _categorical_ticks(svg, ys, "y", max_labels=30)
+    _ticks(svg, xs, "x", max_labels=12)
+    _ticks(svg, ys, "y", max_labels=30)
     for (cx, cy), count in sorted(counts.items()):
-        px, py = xs.center(cx), ys.center(cy)
+        px, py = xs.position(cx), ys.position(cy)
         ramp_idx = min(4, (5 * count - 1) // top)
         svg.rect(px - xs.step / 2, py - ys.step / 2, xs.step, ys.step,
                  fill=RAMP5[ramp_idx], **{"class": "mark"})
@@ -493,7 +461,7 @@ def _render_tree(svg, spec, datasets, fields_by_key):
         lx, ly = coords[id(leaf)]
         label = (leaf.name or "").strip()
         cat = leaf_color.get(label, "")
-        if cat:
+        if not is_missing(cat):
             svg.circle(xs(lx) + 3, ly, 2.5, fill=palette.get(cat, MARK_COLOR),
                        **{"class": "mark", "data-category": cat})
         if show_labels:
@@ -525,8 +493,7 @@ def _render_map(svg, spec, datasets, fields_by_key):
         )
         if numeric_props:
             fill_values = dataset.raw_columns[numeric_props[0]]
-            values = numeric_values(fill_values)
-            lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+            lo, hi = extent(numeric_values(fill_values))
 
     features = dataset.payload.features
     for i in sorted(range(len(features)), key=lambda k: str(sorted(features[k].properties.items()))):
@@ -535,7 +502,7 @@ def _render_map(svg, spec, datasets, fields_by_key):
         attrs = {}
         if color is not None:
             cat = color.values[i].strip()
-            if cat:
+            if not is_missing(cat):
                 fill = palette.get(cat, "#e8e8e8")
                 attrs["data-category"] = cat
         elif fill_values is not None:

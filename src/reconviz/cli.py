@@ -107,6 +107,15 @@ def _warn_unknown_user_fields(config: RunConfig, fields) -> None:
                   file=sys.stderr)
 
 
+def _warn_fieldless_datasets(datasets, fields) -> None:
+    with_fields = {f.source_id for f in fields}
+    for dataset in datasets:
+        if dataset.id not in with_fields:
+            print(f"warning: dataset {dataset.id!r} yields no fields (every value is missing); "
+                  "it is left out of the entity graph, the paths and every view",
+                  file=sys.stderr)
+
+
 def _assemble(config: RunConfig):
     datasets = config.load_datasets()
     space = PrevalenceDesignSpace.from_csv(config.design_space)
@@ -129,6 +138,7 @@ def _assemble(config: RunConfig):
         max_views_per_component=config.max_views_per_component,
         seed=config.seed,
     )
+    _warn_fieldless_datasets(datasets, assembly.fields)
     _warn_unknown_user_fields(config, assembly.fields)
     return assembly
 
@@ -136,6 +146,7 @@ def _assemble(config: RunConfig):
 def cmd_link(config: RunConfig) -> int:
     datasets = config.load_datasets()
     fields, metadata, graph = build_graph(datasets, config.min_jaccard)
+    _warn_fieldless_datasets(datasets, fields)
     _warn_unknown_user_fields(config, fields)
     _write(config.out_dir / "entity_graph.json", graph.to_json())
     _write(config.out_dir / "field_metadata.csv", metadata.to_csv())
@@ -145,7 +156,8 @@ def cmd_link(config: RunConfig) -> int:
 
 def cmd_graph(config: RunConfig) -> int:
     datasets = config.load_datasets()
-    _, _, graph = build_graph(datasets, config.min_jaccard)
+    fields, _, graph = build_graph(datasets, config.min_jaccard)
+    _warn_fieldless_datasets(datasets, fields)
     _write(config.out_dir / "entity_graph.svg", render_entity_graph(graph))
     _write_manifest(config, "graph")
     return EXIT_OK

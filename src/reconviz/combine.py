@@ -5,9 +5,15 @@ palettes.
 A spatial group is the largest set of charts binding one linked field in a
 positional slot whose chart types are pairwise marked supported in the
 viability matrix and which contains at most one positionally immutable chart
-(tree, geographic map, image). The immutable chart leads; its axis and
-ordering are pushed onto all support charts, swapping x/y bindings where
-needed. Color groups share a categorical palette keyed on the linked field.
+(tree, geographic map, image). A chart that binds the linked field on both
+positional channels has no single axis to share and never joins the group.
+The immutable chart leads; its axis and ordering are pushed onto all support
+charts, swapping x/y bindings where needed. Color groups share a categorical
+palette keyed on the linked field.
+
+`build_plan` makes every alignment decision (members, lead, axis, linkage
+class, shared domain, palettes) and returns it as a frozen plan;
+`bind_alignment` only applies that plan to the specs.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from pathlib import Path
 
 from .chartspec import ChartSpec
 from .entitygraph import NodeKey
-from .errors import ConfigError, MultipleImmutable, UnresolvableOrientation
-from .ingest import Dataset, Field, field_raw_values, numeric_values
+from .errors import ConfigError, MultipleImmutable
+from .ingest import Dataset, Field, extent, field_raw_values, numeric_values
 
 IMMUTABLE_CHART_TYPES = frozenset({"phylogenetic tree", "geographic map", "image"})
 
@@ -74,7 +80,7 @@ class ViabilityMatrix:
         return cls(cells)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpatialGroup:
     member_ids: list[str]
     lead_id: str
@@ -82,6 +88,7 @@ class SpatialGroup:
     axis: str  # "x" | "y": the lead's axis carrying the shared field
     domain: list | None = None  # categorical order, or [lo, hi] for numeric
     class_rep: NodeKey | None = None  # linkage-class key, not serialized
+    numeric: bool = False  # domain is [lo, hi] rather than a category order; not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +100,7 @@ class SpatialGroup:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColorGroup:
     member_ids: list[str]
     shared_field: str
@@ -107,7 +114,7 @@ class ColorGroup:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombinationPlan:
     spatial: SpatialGroup | None
     color_groups: list[ColorGroup]
@@ -143,6 +150,14 @@ class FieldIndex:
         return self.classes.get(key, key)
 
 
+def class_channels(spec: ChartSpec, index: FieldIndex) -> dict[NodeKey, list[str]]:
+    """Linkage class -> the positional channels (x before y) binding it in `spec`."""
+    out: dict[NodeKey, list[str]] = {}
+    for channel, binding in sorted(spec.positional_bindings().items()):
+        out.setdefault(index.link_class(binding.source, binding.field), []).append(channel)
+    return out
+
+
 def which_spatially_align(
     specs: list[ChartSpec],
     matrix: ViabilityMatrix,
@@ -151,17 +166,15 @@ def which_spatially_align(
     """Find the best spatially alignable subset.
 
     Returns (shared linkage class, {spec id -> positional channel}) or None.
-    Candidates must bind a field of one linkage class in a positional slot and
-    be pairwise supported in the matrix, with at most one immutable chart.
+    Candidates must bind a field of one linkage class on exactly one
+    positional channel and be pairwise supported in the matrix, with at most
+    one immutable chart.
     """
     candidates: dict[NodeKey, dict[str, str]] = {}
     for spec in specs:
-        for channel, binding in sorted(spec.positional_bindings().items()):
-            rep = index.link_class(binding.source, binding.field)
-            slot_map = candidates.setdefault(rep, {})
-            # prefer y over x when a spec binds the class on both channels
-            if spec.id not in slot_map or channel == "y":
-                slot_map[spec.id] = channel
+        for rep, channels in class_channels(spec, index).items():
+            if len(channels) == 1:
+                candidates.setdefault(rep, {})[spec.id] = channels[0]
 
     by_id = {spec.id: spec for spec in specs}
     qualifying: list[tuple[int, float, tuple[str, ...], NodeKey, dict[str, str]]] = []
@@ -238,8 +251,11 @@ def build_plan(
     specs: list[ChartSpec],
     matrix: ViabilityMatrix,
     index: FieldIndex,
+    datasets: dict[str, Dataset],
     seed: int = 0,
 ) -> CombinationPlan:
+    """Decide every alignment of one view's charts: the spatial group with its
+    lead, axis, linkage class and shared domain, and the color groups."""
     rng = random.Random(seed)
     spatial = None
     found = which_spatially_align(specs, matrix, index)
@@ -249,16 +265,19 @@ def build_plan(
         lead_id = select_lead_chart(members, rng)
         lead = next(s for s in members if s.id == lead_id)
         lead_binding = lead.bindings[slot_map[lead_id]]
-        ordered = [lead_id] + sorted(
-            (s.id for s in members if s.id != lead_id),
-            key=lambda sid: (-next(s.relevance for s in members if s.id == sid), sid),
-        )
+        ordered = [lead_id] + [
+            s.id for s in sorted(members, key=lambda s: (-s.relevance, s.id)) if s.id != lead_id
+        ]
+        fields = {s.id: index.field(*s.bindings[slot_map[s.id]].key()) for s in members}
+        numeric = fields[lead_id] is not None and fields[lead_id].numeric
         spatial = SpatialGroup(
             member_ids=ordered,
             lead_id=lead_id,
             shared_field=f"{lead_binding.source}.{lead_binding.field}",
             axis=slot_map[lead_id],
+            domain=_shared_domain(lead, fields, numeric, datasets),
             class_rep=rep,
+            numeric=numeric,
         )
     color_groups = which_color_align(specs, index)
     in_spatial = set(spatial.member_ids) if spatial else set()
@@ -266,132 +285,67 @@ def build_plan(
     return CombinationPlan(spatial, color_groups, unaligned, seed)
 
 
-def _ordered_categories(field: Field | None) -> list[str]:
-    if field is None or field.values is None:
-        return []
-    return sorted(field.values)
-
-
-def _lead_domain(
-    spec: ChartSpec, axis: str, datasets: dict[str, Dataset], index: FieldIndex
+def _shared_domain(
+    lead: ChartSpec,
+    fields: dict[str, Field | None],
+    numeric: bool,
+    datasets: dict[str, Dataset],
 ) -> list:
-    """Domain ordering dictated by the lead chart: tree leaf order, otherwise
-    the sorted categories of the lead's shared-axis field."""
-    if spec.chart_type == "phylogenetic tree":
-        dataset = datasets[spec.dataset_id]
-        return [label.strip() for label in dataset.payload.leaf_labels()]
-    binding = spec.bindings.get(axis)
-    if binding is None:
-        return []
-    return _ordered_categories(index.field(binding.source, binding.field))
+    """One domain for the shared axis, given each member's shared field.
+    Numeric: [lo, hi] over every member's numeric values. Otherwise the
+    lead's order (tree leaf order, else its sorted categories), then the
+    other members' remaining categories, sorted."""
+    lead_field = fields[lead.id]
+    present = [f for f in fields.values() if f is not None]
+    if numeric:
+        values = [v for f in present if f.numeric
+                  for v in numeric_values(field_raw_values(f, datasets[f.source_id]))]
+        return list(extent(values))
+    if lead.chart_type == "phylogenetic tree":
+        domain = [label.strip() for label in datasets[lead.dataset_id].payload.leaf_labels()]
+    else:
+        domain = sorted(lead_field.values) if lead_field is not None and lead_field.values else []
+    seen = set(domain)
+    return domain + sorted({v for f in present if f.values for v in f.values} - seen)
 
 
 def bind_alignment(
     specs: list[ChartSpec],
     plan: CombinationPlan,
-    datasets: dict[str, Dataset],
     index: FieldIndex,
 ) -> list[ChartSpec]:
-    """Stamp orientation, shared domains, and palettes; mark specs render-ready.
+    """Apply the plan: move each spatial member's shared field onto the
+    group's axis, stamp the shared domain and palettes, and mark specs
+    render-ready.
 
     Idempotent: rebinding already-bound specs yields identical output.
     """
     out = {spec.id: spec.copy() for spec in specs}
 
-    if plan.spatial is not None:
-        group = plan.spatial
-        lead = out[group.lead_id]
-        rep = group.class_rep
-        if rep is None:
-            seed_binding = lead.bindings.get(group.axis) or next(
-                iter(lead.positional_bindings().values())
-            )
-            rep = index.link_class(seed_binding.source, seed_binding.field)
-
-        def shared_channels(spec: ChartSpec) -> list[str]:
-            found = []
-            for channel, binding in sorted(spec.positional_bindings().items()):
-                if index.link_class(binding.source, binding.field) == rep:
-                    found.append(channel)
-            return found
-
-        lead_channels = shared_channels(lead)
-        axis = group.axis if group.axis in lead_channels else (lead_channels or [group.axis])[0]
-        group.axis = axis
-
-        # (a) reorient supports so the shared field sits on the lead's axis
+    group = plan.spatial
+    if group is not None:
+        other = "y" if group.axis == "x" else "x"
+        stamped, dropped = ("axis_domain", "domain_order") if group.numeric else (
+            "domain_order", "axis_domain")
         for sid in group.member_ids:
             spec = out[sid]
-            channels = shared_channels(spec)
-            if not channels:
-                continue
-            if len(channels) > 1:
-                raise UnresolvableOrientation(
-                    f"{sid} binds {group.shared_field} on both positional channels"
-                )
-            current = channels[0]
-            if current != axis:
-                other = "y" if current == "x" else "x"
-                swapped = dict(spec.bindings)
-                a, b = swapped.get(current), swapped.get(other)
-                if a is not None:
-                    swapped[other] = a
-                else:
-                    swapped.pop(other, None)
-                if b is not None:
-                    swapped[current] = b
-                else:
-                    swapped.pop(current, None)
-                spec.bindings = swapped
+            if class_channels(spec, index).get(group.class_rep) == [other]:
+                moved = spec.bindings.pop(other)
+                if group.axis in spec.bindings:
+                    spec.bindings[other] = spec.bindings.pop(group.axis)
+                spec.bindings[group.axis] = moved
                 spec.annotations["rotated"] = True
-
-        # (b)/(c) one domain for the shared axis, taken from the lead
-        lead_binding = out[group.lead_id].bindings.get(axis)
-        lead_field = index.field(lead_binding.source, lead_binding.field) if lead_binding else None
-        member_fields = []
-        for sid in group.member_ids:
-            binding = out[sid].bindings.get(axis)
-            if binding is not None:
-                member_fields.append(index.field(binding.source, binding.field))
-        numeric_axis = lead_field is not None and lead_field.numeric
-        if numeric_axis:
-            lows, highs = [], []
-            for field in member_fields:
-                if field is None or not field.numeric:
-                    continue
-                values = numeric_values(field_raw_values(field, datasets[field.source_id]))
-                if values:
-                    lows.append(min(values))
-                    highs.append(max(values))
-            domain = [min(lows), max(highs)] if lows else [0.0, 1.0]
-        else:
-            domain = _lead_domain(out[group.lead_id], axis, datasets, index)
-            seen = set(domain)
-            extras = sorted(
-                {v for f in member_fields if f is not None and f.values for v in f.values} - seen
-            )
-            domain = domain + extras
-        group.domain = domain
-        for sid in group.member_ids:
-            spec = out[sid]
-            spec.annotations["shared_axis"] = axis
+            spec.annotations["shared_axis"] = group.axis
             spec.annotations["shared_field"] = group.shared_field
-            if numeric_axis:
-                spec.annotations["axis_domain"] = domain
-                spec.annotations.pop("domain_order", None)
-            else:
-                spec.annotations["domain_order"] = domain
-                spec.annotations.pop("axis_domain", None)
+            spec.annotations[stamped] = list(group.domain)
+            spec.annotations.pop(dropped, None)
 
-    # (d) palettes
     for color_group in plan.color_groups:
         for sid in color_group.member_ids:
             if sid in out:
                 out[sid].annotations["palette"] = dict(sorted(color_group.palette.items()))
                 out[sid].annotations["palette_field"] = color_group.shared_field
 
-    # (e) render-ready
     for spec in out.values():
         spec.annotations["render_ready"] = True
     return [out[spec.id] for spec in specs]
-

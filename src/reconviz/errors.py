@@ -64,10 +64,6 @@ class MultipleImmutable(ReconVizError):
     """A spatial group contains more than one positionally immutable chart."""
 
 
-class UnresolvableOrientation(ReconVizError):
-    """A support chart binds the shared field on both positional channels."""
-
-
 class UnsupportedChartType(ReconVizError):
     pass
 

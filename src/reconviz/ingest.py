@@ -63,6 +63,11 @@ def numeric_values(raw: list[str]) -> list[float]:
     return out
 
 
+def extent(values: list[float]) -> tuple[float, float]:
+    """(min, max) of `values`, or (0.0, 1.0) when there are none."""
+    return (min(values), max(values)) if values else (0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class Table:
     columns: tuple[str, ...]
@@ -96,11 +101,6 @@ class TreeNode:
 
     def leaf_labels(self) -> list[str]:
         return [leaf.name or "" for leaf in self.leaves()]
-
-    def max_depth(self) -> float:
-        if self.is_leaf():
-            return self.length or 0.0
-        return (self.length or 0.0) + max(c.max_depth() for c in self.children)
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:

@@ -107,8 +107,8 @@ def assemble(
         )[:max_charts]
         if not specs:
             continue
-        plan = build_plan(specs, matrix, index, seed=seed * _SEED_STRIDE + rank_position)
-        final = bind_alignment(specs, plan, by_id, index)
+        plan = build_plan(specs, matrix, index, by_id, seed=seed * _SEED_STRIDE + rank_position)
+        final = bind_alignment(specs, plan, index)
         layout = arrange_grid(plan, final, max_charts)
         emitted_per_component[component] = emitted_per_component.get(component, 0) + 1
         views.append(View(len(views) + 1, rp, final, plan, layout))

@@ -67,14 +67,18 @@ def fig1_dir() -> Path:
     return DATA_DIR / "fig1"
 
 
+def fig1_datasets(root: Path) -> list[dict]:
+    return [
+        {"id": "phylo", "path": str(root / "phylo.nwk"), "dtype": "tree",
+         "associated": str(root / "phylo_meta.csv")},
+        {"id": "cases", "path": str(root / "cases.csv"), "dtype": "tabular"},
+        {"id": "regions", "path": str(root / "regions.geojson"), "dtype": "spatial"},
+    ]
+
+
 @pytest.fixture(scope="session")
 def fig1_manifest(fig1_dir) -> list[dict]:
-    return [
-        {"id": "phylo", "path": str(fig1_dir / "phylo.nwk"), "dtype": "tree",
-         "associated": str(fig1_dir / "phylo_meta.csv")},
-        {"id": "cases", "path": str(fig1_dir / "cases.csv"), "dtype": "tabular"},
-        {"id": "regions", "path": str(fig1_dir / "regions.geojson"), "dtype": "spatial"},
-    ]
+    return fig1_datasets(fig1_dir)
 
 
 def _write_synthetic(root: Path) -> None:

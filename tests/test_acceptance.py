@@ -249,7 +249,7 @@ def test_c06_alignment_invariants_fuzz(relevance_table, encoding_map, templates,
                     if any(s.id == sid for s in view.specs)
                 ]
                 assert all(p == cgroup.palette for p in palettes)
-            rebound = bind_alignment(view.specs, view.plan, asm.datasets, index)
+            rebound = bind_alignment(view.specs, view.plan, index)
             assert (
                 json.dumps([s.to_dict() for s in rebound], sort_keys=True)
                 == json.dumps([s.to_dict() for s in view.specs], sort_keys=True)

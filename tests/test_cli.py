@@ -189,6 +189,62 @@ class TestRelevance:
         assert run(["relevance", "--config", cfg]) == 2
 
 
+class TestRobustness:
+    def test_fieldless_datasets_warn_once_each_and_leave_outputs_alone(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text("pid,grp\n" + "".join(f"p{i},g{i % 2}\n" for i in range(14)))
+        (tmp_path / "blank.csv").write_text("a,b\nNA,\nna,null\n")
+        ring = [[0, 0], [1, 0], [1, 1], [0, 0]]
+        features = [{"type": "Feature", "properties": {},
+                     "geometry": {"type": "Polygon", "coordinates": [ring]}}] * 2
+        (tmp_path / "e.geojson").write_text(
+            json.dumps({"type": "FeatureCollection", "features": features}))
+        table = {"id": "t", "path": str(tmp_path / "t.csv"), "dtype": "tabular"}
+        empty = [
+            {"id": "blank", "path": str(tmp_path / "blank.csv"), "dtype": "tabular"},
+            {"id": "e", "path": str(tmp_path / "e.geojson"), "dtype": "spatial"},
+        ]
+        outputs = {}
+        for name, manifest in (("plain", [table]), ("with_empty", [table, *empty])):
+            base = tmp_path / name
+            base.mkdir()
+            cfg = write_config(base, manifest)
+            capsys.readouterr()
+            for args in (["link"], ["graph"], ["specs"], ["render", "--view", "1"]):
+                assert run([*args, "--config", cfg]) == 0
+                err = capsys.readouterr().err
+                for dataset in empty:
+                    expected = 1 if name == "with_empty" else 0
+                    assert err.count(f"dataset {dataset['id']!r} yields no fields") == expected
+            outputs[name] = {p.name: p.read_bytes() for p in sorted((base / "out").iterdir())
+                             if p.name != "manifest.json"}
+        assert outputs["plain"] == outputs["with_empty"]
+
+    def test_pair_table_binding_tree_ids_on_both_axes(self, tmp_path):
+        """An infector,infectee table next to a tree binds the tree's linkage
+        class on x and y; such a chart is left out of every spatial group."""
+        def newick(labels):
+            if len(labels) == 1:
+                return f"{labels[0]}:0.1"
+            mid = len(labels) // 2
+            return f"({newick(labels[:mid])},{newick(labels[mid:])}):0.05"
+
+        (tmp_path / "tree.nwk").write_text(
+            newick([f"s{i}" for i in range(20)])[: -len(":0.05")] + ";\n")
+        (tmp_path / "pairs.csv").write_text(
+            "infector,infectee\n" + "".join(f"s{i - 1},s{i}\n" for i in range(1, 20)))
+        cfg = write_config(tmp_path, [
+            {"id": "tree", "path": str(tmp_path / "tree.nwk"), "dtype": "tree"},
+            {"id": "pairs", "path": str(tmp_path / "pairs.csv"), "dtype": "tabular"},
+        ])
+        assert run(["specs", "--config", cfg]) == 0
+        assert run(["render", "--config", cfg, "--view", "1"]) == 0
+        views = json.loads((tmp_path / "out" / "specs.json").read_text())
+        assert any(c["id"] == "pairs:scatter chart" for v in views for c in v["charts"])
+        for view in views:
+            group = view["plan"]["spatial_group"]
+            assert group is None or "pairs:scatter chart" not in group["members"]
+
+
 class TestUsageAndDeterminism:
     def test_version_flag_prints_package_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,7 @@ from reconviz.combine import (
     which_spatially_align,
 )
 from reconviz.entitygraph import build_entity_graph
-from reconviz.errors import ConfigError, MultipleImmutable, UnresolvableOrientation
+from reconviz.errors import ConfigError, MultipleImmutable
 from reconviz.ingest import Dataset, Field, load_dataset
 
 
@@ -255,9 +255,9 @@ class TestBindAlignment:
                  x="geo.country", color="geo.country"),
         ]
         datasets = {}
-        plan = build_plan(specs, viability, linked_index, seed=5)
+        plan = build_plan(specs, viability, linked_index, datasets, seed=5)
         assert plan.spatial is None
-        bound = bind_alignment(specs, plan, datasets, linked_index)
+        bound = bind_alignment(specs, plan, linked_index)
         for before, after in zip(specs, bound):
             assert after.bindings == before.bindings  # no reorientation
             assert after.annotations["render_ready"] is True
@@ -265,8 +265,8 @@ class TestBindAlignment:
 
     def test_unaligned_specs_pass_through_unchanged(self, linked_index, viability):
         lonely = spec("tab:bar chart", "bar chart", "tab", 4.0, x="tab.country")
-        plan = build_plan([lonely], viability, linked_index, seed=1)
-        bound = bind_alignment([lonely], plan, {}, linked_index)[0]
+        plan = build_plan([lonely], viability, linked_index, {}, seed=1)
+        bound = bind_alignment([lonely], plan, linked_index)[0]
         assert bound.bindings == lonely.bindings
         assert plan.unaligned == ["tab:bar chart"]
         stripped = {k: v for k, v in bound.annotations.items() if k != "render_ready"}
@@ -278,25 +278,25 @@ class TestBindAlignment:
                                  viability)
         for view in asm.views:
             again = bind_alignment(
-                view.specs, view.plan, asm.datasets,
-                FieldIndex(asm.fields, asm.graph.link_classes()),
+                view.specs, view.plan, FieldIndex(asm.fields, asm.graph.link_classes()),
             )
             a = json.dumps([s.to_dict() for s in view.specs], sort_keys=True)
             b = json.dumps([s.to_dict() for s in again], sort_keys=True)
             assert a == b
 
-    def test_unresolvable_orientation(self, linked_index, viability):
+    def test_chart_binding_shared_field_on_both_axes_stays_unaligned(self, linked_index,
+                                                                       viability):
         twisted = spec("tab:heatmap", "heatmap", "tab", 2.0,
                        x="tab.sample_id", y="tab.sample_id")
         tree = spec("tree:phylogenetic tree", "phylogenetic tree", "tree", 10.0,
                     y="tree.tip_label")
-        plan = build_plan([tree, twisted], viability, linked_index, seed=0)
-        assert plan.spatial is not None
-        with pytest.raises(UnresolvableOrientation):
-            bind_alignment(
-                [tree, twisted], plan,
-                {"tree": Dataset("tree", "tree", None)}, linked_index,
-            )
+        plan = build_plan([tree, twisted], viability, linked_index,
+                          {"tree": Dataset("tree", "tree", None)}, seed=0)
+        assert plan.spatial is None
+        assert plan.unaligned == ["tree:phylogenetic tree", "tab:heatmap"]
+        bound = bind_alignment([tree, twisted], plan, linked_index)
+        assert bound[1].bindings == twisted.bindings
+        assert "shared_axis" not in bound[1].annotations
 
     def test_spatial_members_share_axis_field_domain_triple(self, synthetic_dir, relevance_table,
                                                             encoding_map, templates, viability):

@@ -265,6 +265,31 @@ class TestChartFragments:
         assert len(polys) == 3
         assert sorted(p.get("data-category") or "" for p in polys) == ["", "A", "B"]
 
+    def test_map_missing_marker_color_draws_no_category(self, tmp_path):
+        ring = [[0, 0], [1, 0], [1, 1], [0, 0]]
+        features = [{"type": "Feature", "properties": {"zone": zone},
+                     "geometry": {"type": "Polygon", "coordinates": [ring]}}
+                    for zone in ("A", "NA", "B")]
+        (tmp_path / "zones.geojson").write_text(
+            json.dumps({"type": "FeatureCollection", "features": features}))
+        zones = load_dataset(tmp_path / "zones.geojson", "spatial", dataset_id="zones")
+        fields, _ = explode_fields([zones])
+        spec = simple_spec("zones:geographic map", "geographic map", "zones",
+                           x="zones.zone", color="zones.zone")
+        polys = marks(render_chart(spec, {"zones": zones}, fields), "polygon")
+        assert sorted(p.get("data-category") or "" for p in polys) == ["", "A", "B"]
+        assert [p.get("fill") for p in polys if not p.get("data-category")] == ["#e8e8e8"]
+
+    def test_tree_missing_marker_color_draws_no_leaf_mark(self, tmp_path):
+        (tmp_path / "t.nwk").write_text("((a:1,b:1):1,(c:1,d:1):1);\n")
+        (tmp_path / "meta.csv").write_text("sample_id,zone\na,X\nb,NA\nc,Y\nd,X\n")
+        tree = load_dataset(tmp_path / "t.nwk", "tree", tmp_path / "meta.csv", dataset_id="t")
+        fields, _ = explode_fields([tree])
+        spec = simple_spec("t:phylogenetic tree", "phylogenetic tree", "t",
+                           y="t.tip_label", color="t.zone")
+        leaves = marks(render_chart(spec, {"t": tree}, fields), "circle")
+        assert [c.get("data-category") for c in leaves] == ["X", "Y", "X"]
+
 
 class TestArrangeGrid:
     def make_specs(self, plan_members):
