@@ -7,9 +7,11 @@ positional slot whose chart types are pairwise marked supported in the
 viability matrix and which contains at most one positionally immutable chart
 (tree, geographic map, image). A chart that binds the linked field on both
 positional channels has no single axis to share and never joins the group.
-The immutable chart leads; its axis and ordering are pushed onto all support
-charts, swapping x/y bindings where needed. Color groups share a categorical
-palette keyed on the linked field.
+The immutable chart leads and sets the ordering. The group's axis is the
+channel of its members that cannot swap x and y (immutable or single-slot
+charts, which must agree), else the lead's; the other members swap x/y
+bindings where needed. Color groups share a categorical palette keyed on the
+linked field.
 
 `build_plan` makes every alignment decision (members, lead, axis, linkage
 class, shared domain, palettes) and returns it as a frozen plan;
@@ -85,7 +87,7 @@ class SpatialGroup:
     member_ids: list[str]
     lead_id: str
     shared_field: str  # qualified name of the lead's bound field
-    axis: str  # "x" | "y": the lead's axis carrying the shared field
+    axis: str  # "x" | "y": the channel carrying the shared field in every member
     domain: list | None = None  # categorical order, or [lo, hi] for numeric
     class_rep: NodeKey | None = None  # linkage-class key, not serialized
     numeric: bool = False  # domain is [lo, hi] rather than a category order; not serialized
@@ -168,7 +170,8 @@ def which_spatially_align(
     Returns (shared linkage class, {spec id -> positional channel}) or None.
     Candidates must bind a field of one linkage class on exactly one
     positional channel and be pairwise supported in the matrix, with at most
-    one immutable chart.
+    one immutable chart. Members that cannot swap x and y (see `_fixed`) must
+    all sit on one channel.
     """
     candidates: dict[NodeKey, dict[str, str]] = {}
     for spec in specs:
@@ -192,6 +195,8 @@ def which_spatially_align(
                 immutable = [t for t in types if t in IMMUTABLE_CHART_TYPES]
                 if len(immutable) > 1:
                     continue
+                if len({slot_map[sid] for sid in subset if _fixed(by_id[sid])}) > 1:
+                    continue
                 total = sum(by_id[sid].relevance for sid in subset)
                 qualifying.append(
                     (size, total, subset, rep, {sid: slot_map[sid] for sid in subset})
@@ -201,6 +206,14 @@ def which_spatially_align(
     qualifying.sort(key=lambda q: (-q[0], -q[1], q[2]))
     _, _, _, rep, slot_map = qualifying[0]
     return rep, slot_map
+
+
+def _fixed(spec: ChartSpec) -> bool:
+    """Whether a chart cannot swap x and y: it is positionally immutable, or it
+    binds one positional channel, so moving that field would leave its
+    template's only positional slot empty (a histogram has x alone, a table y
+    alone)."""
+    return spec.chart_type in IMMUTABLE_CHART_TYPES or len(spec.positional_bindings()) < 2
 
 
 def select_lead_chart(group_specs: list[ChartSpec], rng: random.Random) -> str:
@@ -270,11 +283,12 @@ def build_plan(
         ]
         fields = {s.id: index.field(*s.bindings[slot_map[s.id]].key()) for s in members}
         numeric = fields[lead_id] is not None and fields[lead_id].numeric
+        fixed_axes = {slot_map[s.id] for s in members if _fixed(s)}
         spatial = SpatialGroup(
             member_ids=ordered,
             lead_id=lead_id,
             shared_field=f"{lead_binding.source}.{lead_binding.field}",
-            axis=slot_map[lead_id],
+            axis=fixed_axes.pop() if fixed_axes else slot_map[lead_id],
             domain=_shared_domain(lead, fields, numeric, datasets),
             class_rep=rep,
             numeric=numeric,

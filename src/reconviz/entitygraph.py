@@ -230,33 +230,6 @@ def connected_components(graph: EntityGraph) -> list[EntityGraph]:
     return components
 
 
-def _dijkstra_pair(component: EntityGraph, source: str, target: str) -> tuple[NodeKey, ...] | None:
-    """Cheapest simple node sequence between two hubs.
-
-    Cost: 1 - J on linkage edges, 0 on source-field edges. Ties prefer fewer
-    hubs, then the lexicographically smallest hub-id sequence.
-    """
-    start = hub_key(source)
-    goal = hub_key(target)
-    settled: set[NodeKey] = set()
-    queue: list[tuple] = [(Fraction(0), 1, (source,), (start,))]
-    while queue:
-        cost, hub_count, hub_seq, seq = heapq.heappop(queue)
-        node = seq[-1]
-        if node == goal:
-            return seq
-        if node in settled:
-            continue
-        settled.add(node)
-        for neighbor, weight in component.neighbors(node):
-            if neighbor in settled or neighbor in seq:
-                continue
-            step = Fraction(0) if weight is None else Fraction(1) - weight
-            next_hubs = hub_seq + (neighbor[1],) if neighbor[0] == HUB else hub_seq
-            heapq.heappush(queue, (cost + step, len(next_hubs), next_hubs, seq + (neighbor,)))
-    return None
-
-
 def _path_from_sequence(component: EntityGraph, seq: tuple[NodeKey, ...], component_id: int) -> GraphPath:
     hubs = tuple(node[1] for node in seq if node[0] == HUB)
     edges = []
@@ -269,22 +242,76 @@ def _path_from_sequence(component: EntityGraph, seq: tuple[NodeKey, ...], compon
 
 def enumerate_paths(component: EntityGraph, component_id: int = 0) -> list[GraphPath]:
     """One singleton path per hub plus the cheapest path per hub pair,
-    deduplicated by (hub set, edge set)."""
+    deduplicated by (hub set, edge set) in source-then-target order.
+
+    A pair's path is the cheapest simple node sequence between its hubs.
+    Cost: 1 - J on linkage edges, 0 on source-field edges. Ties prefer fewer
+    hubs, then the lexicographically smallest hub-id sequence, then the
+    smallest node sequence. Costs are scaled by D, the lcm of the component's
+    weight denominators: each step is an exact integer D·(1 - J), and a
+    positive scale keeps both order and ties.
+    """
     hub_ids = sorted(component.hubs)
     paths: list[GraphPath] = [
         GraphPath((hub_key(ds),), (ds,), (), component_id) for ds in hub_ids
     ]
     seen = {p.identity() for p in paths}
+    scale = math.lcm(*(w.denominator for w in component.links.values()))
+    steps = {
+        node: [
+            (
+                neighbor,
+                0 if weight is None else scale - scale // weight.denominator * weight.numerator,
+                neighbor[1] if neighbor[0] == HUB else None,
+            )
+            for neighbor, weight in component.neighbors(node)
+        ]
+        for node in component.nodes()
+    }
     for i, source in enumerate(hub_ids):
-        for target in hub_ids[i + 1 :]:
-            seq = _dijkstra_pair(component, source, target)
-            if seq is None:
+        targets = [hub_key(target) for target in hub_ids[i + 1 :]]
+        found = _first_pops(steps, source, targets)
+        for target in targets:
+            if target not in found:
                 continue
-            path = _path_from_sequence(component, seq, component_id)
+            path = _path_from_sequence(component, found[target], component_id)
             if path.identity() not in seen:
                 seen.add(path.identity())
                 paths.append(path)
     return paths
+
+
+def _first_pops(
+    steps: dict[NodeKey, list[tuple[NodeKey, int, str | None]]],
+    source: str,
+    targets: list[NodeKey],
+) -> dict[NodeKey, tuple[NodeKey, ...]]:
+    """Dijkstra from hub `source` over (neighbor, integer step, hub id or
+    None) adjacency until every reachable target is settled; returns each
+    target's node sequence when it is first popped. Until a target pops, a
+    search for that target alone pops the same states in the same order, so
+    this is the sequence such a search would return."""
+    remaining = set(targets)
+    found: dict[NodeKey, tuple[NodeKey, ...]] = {}
+    settled: set[NodeKey] = set()
+    queue: list[tuple] = [(0, 1, (source,), (hub_key(source),))]
+    while queue and remaining:
+        cost, _, hub_seq, seq = heapq.heappop(queue)
+        node = seq[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        if node in remaining:
+            remaining.discard(node)
+            found[node] = seq
+        # Every node of a popped sequence is settled, so `settled` also keeps
+        # the sequence simple.
+        for neighbor, step, hub in steps[node]:
+            if neighbor in settled:
+                continue
+            next_hubs = hub_seq if hub is None else hub_seq + (hub,)
+            heapq.heappush(queue, (cost + step, len(next_hubs), next_hubs, seq + (neighbor,)))
+    return found
 
 
 def path_strength(path: GraphPath) -> Fraction:

@@ -11,6 +11,7 @@ and the best possible score is 3.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,11 +74,13 @@ def path_vis_relevance(
 
 
 def competition_ranks(values: list) -> list[int]:
-    """Rank with ties sharing the minimum rank; highest value gets rank 1."""
-    ranks = []
-    for value in values:
-        ranks.append(1 + sum(1 for other in values if other > value))
-    return ranks
+    """Rank with ties sharing the minimum rank; highest value gets rank 1.
+
+    A value's rank is 1 + the number of values greater than it, counted by
+    bisecting the sorted values, so the values must be totally ordered.
+    """
+    ordered = sorted(values)
+    return [1 + len(ordered) - bisect_right(ordered, value) for value in values]
 
 
 def rank_paths(

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import jsonschema
 import pytest
@@ -245,10 +247,36 @@ class TestRobustness:
             assert group is None or "pairs:scatter chart" not in group["members"]
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_histogram_keeps_its_only_axis(self, tmp_path, seed):
+        """A histogram (slot x only) shares its numeric field with a scatter
+        and a line chart that bind it on y; whichever chart leads, the group's
+        axis is x and the histogram is never moved onto y."""
+        (tmp_path / "t.csv").write_text("sample_id,age,score\n" + "".join(
+            f"s{i},{20 + i},{(7 * i) % 15}\n" for i in range(15)))
+        cfg = write_config(tmp_path, [
+            {"id": "t", "path": str(tmp_path / "t.csv"), "dtype": "tabular"}])
+        assert run(["render", "--config", cfg, "--view", "1", "--seed", seed]) == 0
+        view = json.loads((tmp_path / "out" / "view_001.json").read_text())
+        group = view["plan"]["spatial_group"]
+        assert "t:histogram" in group["members"] and group["axis"] == "x"
+        charts = {c["id"]: c for c in view["charts"]}
+        assert list(charts["t:histogram"]["bindings"]) == ["x"]
+        for sid in group["members"]:
+            assert charts[sid]["bindings"]["x"]["field"] == "age"
+
+
 class TestUsageAndDeterminism:
     def test_version_flag_prints_package_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"reconviz {reconviz.__version__}\n"
+
+    def test_python_dash_m_runs_the_cli(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["reconviz", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("reconviz", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"reconviz {reconviz.__version__}\n"
 

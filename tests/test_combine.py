@@ -124,6 +124,18 @@ class TestWhichSpatiallyAlign:
         trees = [sid for sid in slot_map if "phylogenetic" in sid]
         assert len(trees) == 1  # two trees can never share one group
 
+    def test_charts_that_cannot_swap_must_share_a_channel(self, linked_index):
+        types = ("histogram", "table", "scatter chart")
+        matrix = ViabilityMatrix({(a, b): "S" for a in types for b in types})
+        specs = [
+            spec("tab:histogram", "histogram", "tab", 5.0, x="tab.age"),
+            spec("tab:table", "table", "tab", 4.0, y="tab.age"),
+            spec("tab:scatter chart", "scatter chart", "tab", 3.0, x="tab.sample_id",
+                 y="tab.age"),
+        ]
+        _, slot_map = which_spatially_align(specs, matrix, linked_index)
+        assert slot_map == {"tab:histogram": "x", "tab:scatter chart": "y"}
+
 
 class TestSelectLead:
     def test_immutable_member_wins(self, viability, linked_index):

@@ -1,11 +1,16 @@
+import heapq
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reconviz.entitygraph import (
+    HUB,
+    EntityGraph,
+    GraphPath,
+    _path_from_sequence,
     build_entity_graph,
     connected_components,
     enumerate_paths,
@@ -196,6 +201,72 @@ def brute_force_min_cost(graph, source, target):
     return best[0]
 
 
+def dijkstra_pair(component, source, target):
+    """Reference: one search per hub pair on Fraction costs, stopped when the
+    target pops. Cost: 1 - J on linkage edges, 0 on source-field edges. Ties
+    prefer fewer hubs, then the smallest hub-id sequence, then the smallest
+    node sequence."""
+    start = hub_key(source)
+    goal = hub_key(target)
+    settled = set()
+    queue = [(Fraction(0), 1, (source,), (start,))]
+    while queue:
+        cost, hub_count, hub_seq, seq = heapq.heappop(queue)
+        node = seq[-1]
+        if node == goal:
+            return seq
+        if node in settled:
+            continue
+        settled.add(node)
+        for neighbor, weight in component.neighbors(node):
+            if neighbor in settled or neighbor in seq:
+                continue
+            step = Fraction(0) if weight is None else Fraction(1) - weight
+            next_hubs = hub_seq + (neighbor[1],) if neighbor[0] == HUB else hub_seq
+            heapq.heappush(queue, (cost + step, len(next_hubs), next_hubs, seq + (neighbor,)))
+    return None
+
+
+def per_pair_paths(component, component_id=0):
+    """Reference enumeration: singletons, then one `dijkstra_pair` per hub pair
+    (sources ascending, then targets ascending), deduplicated by identity."""
+    hub_ids = sorted(component.hubs)
+    paths = [GraphPath((hub_key(ds),), (ds,), (), component_id) for ds in hub_ids]
+    seen = {p.identity() for p in paths}
+    for i, source in enumerate(hub_ids):
+        for target in hub_ids[i + 1 :]:
+            seq = dijkstra_pair(component, source, target)
+            if seq is None:
+                continue
+            path = _path_from_sequence(component, seq, component_id)
+            if path.identity() not in seen:
+                seen.add(path.identity())
+                paths.append(path)
+    return paths
+
+
+# Half of all weights are J = 1 (zero-cost links) so that cost ties are common.
+WEIGHTS = st.one_of(
+    st.just(Fraction(1)),
+    st.integers(1, 6).flatmap(lambda q: st.integers(1, q).map(lambda p: Fraction(p, q))),
+)
+
+
+@st.composite
+def linked_graphs(draw):
+    """1-8 hubs with 0-3 fields each and random cross-hub links; hubs without
+    fields or links cannot reach the others."""
+    hubs = {f"d{i}": "" for i in range(draw(st.integers(1, 8)))}
+    fields = {}
+    for ds in hubs:
+        for j in range(draw(st.integers(0, 3))):
+            fields[("field", ds, f"f{j}")] = field(f"f{j}", ds, {"v"})
+    keys = sorted(fields)
+    pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1 :] if a[1] != b[1]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=24)) if pairs else []
+    return EntityGraph(hubs, fields, {pair: draw(WEIGHTS) for pair in chosen})
+
+
 class TestEnumeratePaths:
     def test_single_hub_component(self):
         graph = build_entity_graph([field("a", "only", {"x"})])
@@ -278,6 +349,14 @@ class TestEnumeratePaths:
         assert len(path.link_edges) == 2
         weights = [e.weight for e in path.link_edges]
         assert path_strength(path) == sum(weights) / len(weights)
+
+    @settings(max_examples=300, deadline=None)
+    @given(linked_graphs())
+    def test_matches_per_pair_oracle(self, graph):
+        assert enumerate_paths(graph, 7) == per_pair_paths(graph, 7)
+        for component_id, component in enumerate(connected_components(graph)):
+            assert enumerate_paths(component, component_id) == per_pair_paths(
+                component, component_id)
 
 
 class TestRenderGraph:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from reconviz.entitygraph import (
     GraphPath,
@@ -97,6 +98,21 @@ class TestCompetitionRanks:
 
     def test_all_equal(self):
         assert competition_ranks([2, 2, 2]) == [1, 1, 1]
+
+    @given(st.one_of(
+        st.lists(st.integers(-3, 3), max_size=60),
+        st.lists(st.builds(Fraction, st.integers(0, 4), st.integers(1, 4)), max_size=60),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 7.5, float("inf")]), max_size=60),
+        st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(2), 0.5, 1.0, 2.5]),
+                 max_size=60),
+    ))
+    def test_matches_quadratic_oracle(self, values):
+        assert competition_ranks(values) == quadratic_competition_ranks(values)
+
+
+def quadratic_competition_ranks(values):
+    """Reference: 1 + the number of values strictly greater, counted pairwise."""
+    return [1 + sum(1 for other in values if other > value) for value in values]
 
 
 def graph_of(fields):
