@@ -406,24 +406,28 @@ def _tree_positions(root: TreeNode, domain: list[str], y_lo: float, y_hi: float)
     def depth_of(node: TreeNode, acc: float) -> float:
         return acc + ((node.length or 0.0) if has_lengths else 1.0)
 
-    max_depth = [0.0]
-
-    def walk(node: TreeNode, depth: float) -> float:
-        d = depth_of(node, depth)
-        if node.is_leaf():
-            idx = order.get((node.name or "").strip(), 0)
-            y = y_lo + step * (idx + 0.5)
-            coords[id(node)] = (d, y)
-            max_depth[0] = max(max_depth[0], d)
-            return y
-        ys = [walk(child, d) for child in node.children]
-        y = sum(ys) / len(ys)
+    # Pre-order with children right to left; reversed, it is the post-order
+    # (children left to right, then their parent) without recursion.
+    visits = []
+    stack = [(root, depth_of(root, 0.0))]
+    while stack:
+        node, d = stack.pop()
+        visits.append((node, d))
+        for child in node.children:
+            stack.append((child, depth_of(child, d)))
+    max_depth = 0.0
+    pending: list[float] = []  # y of each visited subtree whose parent is not yet visited
+    for node, d in reversed(visits):
+        if node.children:
+            ys = pending[-len(node.children):]
+            del pending[-len(node.children):]
+            y = sum(ys) / len(ys)
+        else:
+            y = y_lo + step * (order.get((node.name or "").strip(), 0) + 0.5)
+        pending.append(y)
         coords[id(node)] = (d, y)
-        max_depth[0] = max(max_depth[0], d)
-        return y
-
-    walk(root, 0.0)
-    return coords, max_depth[0] or 1.0
+        max_depth = max(max_depth, d)
+    return coords, max_depth or 1.0
 
 
 def _render_tree(svg, spec, datasets, fields_by_key):
@@ -446,15 +450,16 @@ def _render_tree(svg, spec, datasets, fields_by_key):
         else:
             leaf_color = {i.strip(): v.strip() for i, v in zip(dataset_ids, color.values)}
 
-    def draw(node: TreeNode):
-        nx, ny = coords[id(node)]
-        for child in node.children:
-            cx, cy = coords[id(child)]
-            svg.line(xs(nx), ny, xs(nx), cy, stroke=AXIS_COLOR, stroke_width=1)
-            svg.line(xs(nx), cy, xs(cx), cy, stroke=AXIS_COLOR, stroke_width=1)
-            draw(child)
-
-    draw(root)
+    # Each branch's two lines, depth first, left to right: (parent x, y, child).
+    nx, ny = coords[id(root)]
+    branches = [(nx, ny, child) for child in reversed(root.children)]
+    while branches:
+        nx, ny, child = branches.pop()
+        cx, cy = coords[id(child)]
+        svg.line(xs(nx), ny, xs(nx), cy, stroke=AXIS_COLOR, stroke_width=1)
+        svg.line(xs(nx), cy, xs(cx), cy, stroke=AXIS_COLOR, stroke_width=1)
+        for grandchild in reversed(child.children):
+            branches.append((cx, cy, grandchild))
     show_labels = len(leaves) <= MAX_LEAF_LABELS
     # emit leaf marks top-to-bottom so document order matches the domain order
     for leaf in sorted(root.leaves(), key=lambda lf: coords[id(lf)][1]):

@@ -146,6 +146,10 @@ class ChartSpec:
     required_channels: tuple[str, ...]
     complete: bool
     annotations: dict = dc_field(default_factory=dict)
+    # Whether x and y are both bound and each field would still pass the
+    # template's slot on the other channel; decided when the spec is
+    # generated, not serialized.
+    swappable: bool = True
 
     def positional_bindings(self) -> dict[str, Binding]:
         return {ch: b for ch, b in self.bindings.items() if ch in ("x", "y")}
@@ -161,6 +165,7 @@ class ChartSpec:
             required_channels=self.required_channels,
             complete=self.complete,
             annotations=json.loads(json.dumps(self.annotations)),
+            swappable=self.swappable,
         )
 
     def to_dict(self) -> dict:
@@ -270,6 +275,10 @@ def _fill_template(
 
     required = tuple(s.channel for s in template.slots if s.required)
     bindings = {ch: Binding(f.name, f.source_id) for ch, f in bound_fields.items()}
+    slots = {s.channel: s for s in template.slots}
+    swappable = "x" in bound_fields and "y" in bound_fields and all(
+        accepts(slots[other], bound_fields[ch]) for ch, other in (("x", "y"), ("y", "x"))
+    )
     return ChartSpec(
         id=f"{dataset.id}:{template.chart_type}",
         chart_type=template.chart_type,
@@ -279,6 +288,7 @@ def _fill_template(
         bindings=bindings,
         required_channels=required,
         complete=all(ch in bindings for ch in required),
+        swappable=swappable,
     )
 
 

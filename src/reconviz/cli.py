@@ -116,7 +116,7 @@ def _warn_fieldless_datasets(datasets, fields) -> None:
                   file=sys.stderr)
 
 
-def _assemble(config: RunConfig):
+def _assemble(config: RunConfig, view_limit: int | None = None):
     datasets = config.load_datasets()
     space = PrevalenceDesignSpace.from_csv(config.design_space)
     table = relevance_from_space(space, config.decay)
@@ -137,6 +137,7 @@ def _assemble(config: RunConfig):
         max_charts=config.max_charts,
         max_views_per_component=config.max_views_per_component,
         seed=config.seed,
+        view_limit=view_limit,
     )
     _warn_fieldless_datasets(datasets, assembly.fields)
     _warn_unknown_user_fields(config, assembly.fields)
@@ -174,7 +175,7 @@ def cmd_specs(config: RunConfig) -> int:
 
 
 def cmd_render(config: RunConfig, view_index: int) -> int:
-    assembly = _assemble(config)
+    assembly = _assemble(config, view_index)
     if view_index < 1 or view_index > len(assembly.views):
         print(
             f"error: view {view_index} out of range (1..{len(assembly.views)})",

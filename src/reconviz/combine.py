@@ -9,8 +9,9 @@ viability matrix and which contains at most one positionally immutable chart
 positional channels has no single axis to share and never joins the group.
 The immutable chart leads and sets the ordering. The group's axis is the
 channel of its members that cannot swap x and y (immutable or single-slot
-charts, which must agree), else the lead's; the other members swap x/y
-bindings where needed. Color groups share a categorical palette keyed on the
+charts, and charts whose swapped fields would break a template slot; they
+must agree), else the lead's; the other members swap x/y bindings where
+needed. Color groups share a categorical palette keyed on the
 linked field.
 
 `build_plan` makes every alignment decision (members, lead, axis, linkage
@@ -209,11 +210,11 @@ def which_spatially_align(
 
 
 def _fixed(spec: ChartSpec) -> bool:
-    """Whether a chart cannot swap x and y: it is positionally immutable, or it
-    binds one positional channel, so moving that field would leave its
-    template's only positional slot empty (a histogram has x alone, a table y
-    alone)."""
-    return spec.chart_type in IMMUTABLE_CHART_TYPES or len(spec.positional_bindings()) < 2
+    """Whether a chart cannot swap x and y: it is positionally immutable, or
+    not `swappable` (it binds one positional channel, as a histogram binds x
+    alone, or a swapped field would break its new slot, as a line chart's y
+    must stay numeric)."""
+    return spec.chart_type in IMMUTABLE_CHART_TYPES or not spec.swappable
 
 
 def select_lead_chart(group_specs: list[ChartSpec], rng: random.Random) -> str:

@@ -164,8 +164,8 @@ def build_entity_graph(
             continue
         for kb in keys[i + 1 :]:
             fb = spokes[kb]
-            if fb.numeric or fa.source_id == fb.source_id:
-                continue
+            if fb.numeric or fa.source_id == fb.source_id or fa.values.isdisjoint(fb.values):
+                continue  # disjoint values give J = 0, which no threshold >= 0 passes
             weight = jaccard(fa.values, fb.values)
             if weight > threshold:
                 links[(ka, kb)] = weight

@@ -92,11 +92,15 @@ class TreeNode:
         return not self.children
 
     def leaves(self) -> list["TreeNode"]:
-        if self.is_leaf():
-            return [self]
+        """Leaves left to right; iterative, so a ladder tree of any depth works."""
         out: list[TreeNode] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                out.append(node)
         return out
 
     def leaf_labels(self) -> list[str]:
@@ -350,29 +354,42 @@ def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
                 raise error(f"bad branch length {token!r} at offset {start}")
         return None
 
+    def finish(node: TreeNode) -> None:
+        label = parse_label()
+        if label:
+            node.name = label
+        node.length = parse_length()
+
     def parse_node() -> TreeNode:
+        """One node and its subtree; clades still waiting for their ')' are
+        kept on an explicit stack, so nesting depth is not limited by
+        Python's recursion limit."""
         nonlocal pos
-        skip_ws()
-        node = TreeNode()
-        if pos < n and text[pos] == "(":
-            pos += 1
-            while True:
-                node.children.append(parse_node())
+        open_clades: list[TreeNode] = []
+        while True:
+            skip_ws()
+            node = TreeNode()
+            while pos < n and text[pos] == "(":
+                pos += 1
+                open_clades.append(node)
+                skip_ws()
+                node = TreeNode()
+            finish(node)
+            while open_clades:
+                open_clades[-1].children.append(node)
                 skip_ws()
                 if pos >= n:
                     raise error("unterminated clade: missing ')'")
                 if text[pos] == ",":
                     pos += 1
-                    continue
-                if text[pos] == ")":
-                    pos += 1
-                    break
-                raise error(f"unexpected {text[pos]!r} at offset {pos}")
-        label = parse_label()
-        if label:
-            node.name = label
-        node.length = parse_length()
-        return node
+                    break  # parse the next sibling
+                if text[pos] != ")":
+                    raise error(f"unexpected {text[pos]!r} at offset {pos}")
+                pos += 1
+                node = open_clades.pop()
+                finish(node)
+            else:
+                return node
 
     root = parse_node()
     skip_ws()

@@ -83,7 +83,10 @@ def assemble(
     max_charts: int = 5,
     max_views_per_component: int = DEFAULT_MAX_VIEWS_PER_COMPONENT,
     seed: int = 0,
+    view_limit: int | None = None,
 ) -> Assembly:
+    """Rank the paths and build views in rank order: all of them, or only the
+    first `view_limit` when that is given and at least 1."""
     fields, metadata, graph = build_graph(datasets, min_jaccard)
     encoding_map.validate_against(table)
     by_id = {d.id: d for d in datasets}
@@ -112,6 +115,8 @@ def assemble(
         layout = arrange_grid(plan, final, max_charts)
         emitted_per_component[component] = emitted_per_component.get(component, 0) + 1
         views.append(View(len(views) + 1, rp, final, plan, layout))
+        if len(views) == view_limit:
+            break
     return Assembly(by_id, fields, metadata, graph, ranked, views)
 
 

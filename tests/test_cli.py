@@ -6,8 +6,11 @@ import jsonschema
 import pytest
 
 import reconviz
+from reconviz import pipeline
 from reconviz.cli import main
+from reconviz.chartspec import load_templates, slot_accepts
 from reconviz.config import ASSETS_DIR
+from reconviz.ingest import explode_fields, load_dataset
 
 from conftest import synthetic_manifest, write_config
 
@@ -162,9 +165,32 @@ class TestRender:
         assert (tmp_path / "out" / "view_001.json").exists()
 
     def test_out_of_range_view_exits_three(self, synthetic_dir, tmp_path, capsys):
+        """Past the last view every view is built, so the message names the
+        full count; 0 and negative k build none of them first."""
         cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir))
-        assert run(["render", "--config", cfg, "--view", "99"]) == 3
-        assert "out of range" in capsys.readouterr().err
+        assert run(["specs", "--config", cfg]) == 0
+        total = len(json.loads((tmp_path / "out" / "specs.json").read_text()))
+        for k in (99, total + 1, 0, -1):
+            capsys.readouterr()
+            assert run(["render", "--config", cfg, "--view", k]) == 3
+            assert capsys.readouterr().err == f"error: view {k} out of range (1..{total})\n"
+
+    def test_view_k_builds_views_1_to_k_only(self, synthetic_dir, tmp_path, monkeypatch):
+        """One plan is built per view, so `render --view k` plans k views, and
+        view k is entry k of `specs.json`."""
+        cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir))
+        assert run(["specs", "--config", cfg]) == 0
+        views = json.loads((tmp_path / "out" / "specs.json").read_text())
+        assert len(views) >= 3
+        calls = []
+        original = pipeline.build_plan
+        monkeypatch.setattr(pipeline, "build_plan",
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        for k, entry in enumerate(views, start=1):
+            calls.clear()
+            assert run(["render", "--config", cfg, "--view", k]) == 0
+            assert len(calls) == k
+            assert json.loads((tmp_path / "out" / f"view_{k:03d}.json").read_text()) == entry
 
 
 class TestRelevance:
@@ -250,12 +276,23 @@ class TestRobustness:
     @pytest.mark.parametrize("seed", range(6))
     def test_histogram_keeps_its_only_axis(self, tmp_path, seed):
         """A histogram (slot x only) shares its numeric field with a scatter
-        and a line chart that bind it on y; whichever chart leads, the group's
-        axis is x and the histogram is never moved onto y."""
+        that binds it on y; whichever chart leads, the group's axis is x and
+        the histogram is never moved onto y. The matrix leaves heatmap and
+        scatter unsupported, so the heatmap+scatter pair does not outrank
+        this group; the line chart, which binds the field on y and cannot
+        swap, stays out of it."""
         (tmp_path / "t.csv").write_text("sample_id,age,score\n" + "".join(
             f"s{i},{20 + i},{(7 * i) % 15}\n" for i in range(15)))
+        matrix = (ASSETS_DIR / "viability_matrix.csv").read_text().splitlines()
+        header = matrix[0].split(",")
+        rows = {line.split(",")[0]: line.split(",") for line in matrix[1:]}
+        rows["heatmap"][header.index("scatter chart")] = "P"
+        rows["scatter chart"][header.index("heatmap")] = "P"
+        (tmp_path / "matrix.csv").write_text(
+            "\n".join([matrix[0]] + [",".join(r) for r in rows.values()]) + "\n")
         cfg = write_config(tmp_path, [
-            {"id": "t", "path": str(tmp_path / "t.csv"), "dtype": "tabular"}])
+            {"id": "t", "path": str(tmp_path / "t.csv"), "dtype": "tabular"}],
+            viability_matrix=str(tmp_path / "matrix.csv"))
         assert run(["render", "--config", cfg, "--view", "1", "--seed", seed]) == 0
         view = json.loads((tmp_path / "out" / "view_001.json").read_text())
         group = view["plan"]["spatial_group"]
@@ -264,6 +301,52 @@ class TestRobustness:
         assert list(charts["t:histogram"]["bindings"]) == ["x"]
         for sid in group["members"]:
             assert charts[sid]["bindings"]["x"]["field"] == "age"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rotation_keeps_every_template_slot(self, tmp_path, seed):
+        """Next to a histogram on `age`, a line chart binds `x: sample_id,
+        y: age`; swapping would put the ids on its numeric-only y, so it is
+        never rotated, and every bound field passes its template slot."""
+        (tmp_path / "t.csv").write_text("sample_id,age,score\n" + "".join(
+            f"s{i},{20 + i},{(7 * i) % 15}\n" for i in range(15)))
+        cfg = write_config(tmp_path, [
+            {"id": "t", "path": str(tmp_path / "t.csv"), "dtype": "tabular"}])
+        assert run(["render", "--config", cfg, "--view", "1", "--seed", seed]) == 0
+        view = json.loads((tmp_path / "out" / "view_001.json").read_text())
+        charts = {c["id"]: c for c in view["charts"]}
+        line = charts["t:line chart"]
+        assert {ch: b["field"] for ch, b in line["bindings"].items()} == {
+            "x": "sample_id", "y": "age"}
+        assert "rotated" not in line["annotations"]
+
+        fields, _ = explode_fields([load_dataset(tmp_path / "t.csv", "tabular", dataset_id="t")])
+        by_name = {f.name: f for f in fields}
+        templates = {t.chart_type: t for t in load_templates(ASSETS_DIR / "chart_templates.json")}
+        for chart in view["charts"]:
+            slots = {s.channel: s for s in templates[chart["chart_type"]].slots}
+            for channel, binding in chart["bindings"].items():
+                assert slot_accepts(slots[channel], by_name[binding["field"]]), (
+                    chart["id"], channel)
+
+    def test_deep_ladder_tree(self, tmp_path):
+        """A 1,200-leaf caterpillar tree nests deeper than Python's recursion
+        limit; parsing, linking and drawing it must not recurse per level."""
+        newick = "s0:0.1"
+        for i in range(1, 1200):
+            newick = f"({newick},s{i}:0.1):0.05"
+        (tmp_path / "tree.nwk").write_text(newick + ";\n")
+        (tmp_path / "t.csv").write_text(
+            "sample_id,grp\n" + "".join(f"s{i},g{i % 3}\n" for i in range(1200)))
+        cfg = write_config(tmp_path, [
+            {"id": "tree", "path": str(tmp_path / "tree.nwk"), "dtype": "tree"},
+            {"id": "t", "path": str(tmp_path / "t.csv"), "dtype": "tabular"},
+        ])
+        assert run(["link", "--config", cfg]) == 0
+        assert run(["render", "--config", cfg, "--view", "1"]) == 0
+        view = json.loads((tmp_path / "out" / "view_001.json").read_text())
+        assert "tree:phylogenetic tree" in [c["id"] for c in view["charts"]]
+        svg = (tmp_path / "out" / "view_001.svg").read_text()
+        assert svg.count("<line") >= 2 * (2 * 1200 - 2)  # two lines per branch
 
 
 class TestUsageAndDeterminism:

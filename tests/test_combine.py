@@ -37,6 +37,7 @@ def spec(sid, chart_type, dataset, relevance, **bindings):
         bindings=parsed,
         required_channels=tuple(parsed),
         complete=True,
+        swappable={"x", "y"} <= parsed.keys(),
     )
 
 

@@ -134,6 +134,77 @@ class TestBuildGraph:
         assert strength[frozenset({"d1", "d3"})] == 1
 
 
+def all_pairs_links(fields, min_jaccard=0.0):
+    """Reference linkage: an exact Jaccard for every cross-dataset pair of
+    non-numeric fields, kept when J > min_jaccard, in sorted key order."""
+    spokes = {("field", f.source_id, f.name): f for f in fields}
+    threshold = max(Fraction(0), Fraction(min_jaccard).limit_denominator(10**9))
+    links = {}
+    keys = sorted(spokes)
+    for i, ka in enumerate(keys):
+        fa = spokes[ka]
+        if fa.numeric:
+            continue
+        for kb in keys[i + 1 :]:
+            fb = spokes[kb]
+            if fb.numeric or fa.source_id == fb.source_id:
+                continue
+            weight = jaccard(fa.values, fb.values)
+            if weight > threshold:
+                links[(ka, kb)] = weight
+    return links
+
+
+@st.composite
+def field_collections(draw):
+    """1-5 datasets with 1-4 fields each. Value sets come from a small pool, so
+    disjoint, overlapping, nested and equal sets all occur; a derived field
+    copies or narrows an earlier one (equal and nested sets on purpose), and
+    some fields are numeric. Several fields of one dataset may share values."""
+    pool = [f"v{i}" for i in range(12)]
+    fields = []
+    for d in range(draw(st.integers(1, 5))):
+        for j in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["values", "values", "derived", "numeric"]))
+            if kind == "numeric":
+                fields.append(field(f"f{j}", f"d{d}", numeric=True))
+                continue
+            earlier = [f.values for f in fields if not f.numeric]
+            if kind == "derived" and earlier:
+                base = draw(st.sampled_from(earlier))
+                values = draw(st.sets(st.sampled_from(sorted(base)), min_size=1))
+            else:
+                values = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=8))
+            fields.append(field(f"f{j}", f"d{d}", values))
+    return draw(st.permutations(fields))
+
+
+class TestLinkageOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(field_collections(), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_matches_all_pairs(self, fields, min_jaccard):
+        got = build_entity_graph(fields, min_jaccard).links
+        oracle = all_pairs_links(fields, min_jaccard)
+        assert list(got.items()) == list(oracle.items())
+        assert all(type(w) is Fraction for w in got.values())
+
+    def test_disjoint_nested_and_equal_sets(self):
+        fields = [
+            field("k", "a", {"1", "2", "3", "4"}),
+            field("k", "b", {"1", "2"}),  # nested in a.k: J = 1/2
+            field("k", "c", {"1", "2", "3", "4"}),  # equal to a.k: J = 1
+            field("k", "d", {"x", "y"}),  # disjoint from all
+            field("v", "a", numeric=True),
+        ]
+        for min_jaccard in (0.0, 0.5, 1.0):
+            assert build_entity_graph(fields, min_jaccard).links == all_pairs_links(
+                fields, min_jaccard)
+        links = build_entity_graph(fields).links
+        assert links[(("field", "a", "k"), ("field", "b", "k"))] == Fraction(1, 2)
+        assert links[(("field", "a", "k"), ("field", "c", "k"))] == 1
+        assert not any("d" in (ka[1], kb[1]) for ka, kb in links)
+
+
 class TestComponents:
     def test_empty_graph(self):
         assert connected_components(build_entity_graph([])) == []

@@ -214,6 +214,44 @@ class TestNewickParser:
         root = parse_newick("[&R]((a:1,b:2)x:1,c:3);")
         assert root.leaf_labels() == ["a", "b", "c"]
 
+    @given(st.recursive(
+        st.tuples(st.none(), st.sampled_from([None, 0.5, 2.0])),
+        lambda kids: st.tuples(st.lists(kids, min_size=1, max_size=3),
+                               st.sampled_from([None, 1.0])),
+        max_leaves=12))
+    def test_round_trip(self, tree):
+        """Nested (children, length) tuples -> Newick -> parse gives the same
+        shape, lengths and left-to-right leaf order, with comments and blanks
+        between tokens."""
+        counter = iter(range(100))
+
+        def label(node):  # name every leaf in pre-order
+            kids, length = node
+            return ([label(k) for k in kids] if isinstance(kids, list)
+                    else f"n{next(counter)}", length)
+
+        def newick(node):
+            kids, length = node
+            text = f"( {' , '.join(newick(k) for k in kids)} )" if isinstance(kids, list) else kids
+            return text + ("" if length is None else f" [c]: {length}")
+
+        def shape(node):
+            if node.is_leaf():
+                return (node.name, node.length)
+            return ([shape(child) for child in node.children], node.length)
+
+        labelled = label(tree)
+        root = parse_newick(newick(labelled) + ";")
+        assert shape(root) == labelled
+        assert root.leaf_labels() == [f"n{i}" for i in range(len(root.leaves()))]
+
+    def test_ladder_deeper_than_recursion_limit(self):
+        text = "s0"
+        for i in range(1, 3000):
+            text = f"({text},s{i}):1"
+        root = parse_newick(text + ";")
+        assert root.leaf_labels() == [f"s{i}" for i in range(3000)]
+
     @pytest.mark.parametrize(
         "text",
         ["((a,b),c)", "((a,b),c;", "((a,),c);", "((a,b),a);", "(,);", "((a:x,b),c);"],
