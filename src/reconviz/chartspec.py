@@ -154,20 +154,6 @@ class ChartSpec:
     def positional_bindings(self) -> dict[str, Binding]:
         return {ch: b for ch, b in self.bindings.items() if ch in ("x", "y")}
 
-    def copy(self) -> "ChartSpec":
-        return ChartSpec(
-            id=self.id,
-            chart_type=self.chart_type,
-            dataset_id=self.dataset_id,
-            dtype=self.dtype,
-            relevance=self.relevance,
-            bindings=dict(self.bindings),
-            required_channels=self.required_channels,
-            complete=self.complete,
-            annotations=json.loads(json.dumps(self.annotations)),
-            swappable=self.swappable,
-        )
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,

@@ -14,8 +14,9 @@ must agree), else the lead's; the other members swap x/y bindings where
 needed. Color groups share a categorical palette keyed on the
 linked field.
 
-`build_plan` makes every alignment decision (members, lead, axis, linkage
-class, shared domain, palettes) and returns it as a frozen plan;
+`build_plan` makes every alignment decision (members, lead, axis, each
+member's shared-field binding, shared domain, palettes), looking fields and
+linkage classes up in the entity graph, and returns a frozen plan;
 `bind_alignment` only applies that plan to the specs.
 """
 
@@ -24,12 +25,12 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 from pathlib import Path
 
-from .chartspec import ChartSpec
-from .entitygraph import NodeKey
+from .chartspec import Binding, ChartSpec
+from .entitygraph import EntityGraph, NodeKey
 from .errors import ConfigError, MultipleImmutable
 from .ingest import Dataset, Field, extent, field_raw_values, numeric_values
 
@@ -90,7 +91,8 @@ class SpatialGroup:
     shared_field: str  # qualified name of the lead's bound field
     axis: str  # "x" | "y": the channel carrying the shared field in every member
     domain: list | None = None  # categorical order, or [lo, hi] for numeric
-    class_rep: NodeKey | None = None  # linkage-class key, not serialized
+    # member id -> the binding of its shared field; not serialized
+    shared_bindings: dict[str, Binding] = dc_field(default_factory=dict)
     numeric: bool = False  # domain is [lo, hi] rather than a category order; not serialized
 
     def to_dict(self) -> dict:
@@ -138,37 +140,22 @@ def build_palette(categories: list[str]) -> dict[str, str]:
     return {cat: PALETTE[i % len(PALETTE)] for i, cat in enumerate(sorted(set(categories)))}
 
 
-class FieldIndex:
-    """Resolves spec bindings to Field objects and linkage classes."""
-
-    def __init__(self, fields: list[Field], classes: dict[NodeKey, NodeKey]):
-        self.by_key = {(f.source_id, f.name): f for f in fields}
-        self.classes = classes
-
-    def field(self, source: str, name: str) -> Field | None:
-        return self.by_key.get((source, name))
-
-    def link_class(self, source: str, name: str) -> NodeKey:
-        key = ("field", source, name)
-        return self.classes.get(key, key)
-
-
-def class_channels(spec: ChartSpec, index: FieldIndex) -> dict[NodeKey, list[str]]:
+def class_channels(spec: ChartSpec, graph: EntityGraph) -> dict[NodeKey, list[str]]:
     """Linkage class -> the positional channels (x before y) binding it in `spec`."""
     out: dict[NodeKey, list[str]] = {}
     for channel, binding in sorted(spec.positional_bindings().items()):
-        out.setdefault(index.link_class(binding.source, binding.field), []).append(channel)
+        out.setdefault(graph.link_class(binding.source, binding.field), []).append(channel)
     return out
 
 
 def which_spatially_align(
     specs: list[ChartSpec],
     matrix: ViabilityMatrix,
-    index: FieldIndex,
-) -> tuple[NodeKey, dict[str, str]] | None:
+    graph: EntityGraph,
+) -> dict[str, str] | None:
     """Find the best spatially alignable subset.
 
-    Returns (shared linkage class, {spec id -> positional channel}) or None.
+    Returns {spec id -> positional channel of the shared field} or None.
     Candidates must bind a field of one linkage class on exactly one
     positional channel and be pairwise supported in the matrix, with at most
     one immutable chart. Members that cannot swap x and y (see `_fixed`) must
@@ -176,12 +163,12 @@ def which_spatially_align(
     """
     candidates: dict[NodeKey, dict[str, str]] = {}
     for spec in specs:
-        for rep, channels in class_channels(spec, index).items():
+        for rep, channels in class_channels(spec, graph).items():
             if len(channels) == 1:
                 candidates.setdefault(rep, {})[spec.id] = channels[0]
 
     by_id = {spec.id: spec for spec in specs}
-    qualifying: list[tuple[int, float, tuple[str, ...], NodeKey, dict[str, str]]] = []
+    qualifying: list[tuple[int, float, tuple[str, ...], dict[str, str]]] = []
     for rep, slot_map in sorted(candidates.items()):
         ids = sorted(slot_map)
         if len(ids) < 2:
@@ -200,13 +187,12 @@ def which_spatially_align(
                     continue
                 total = sum(by_id[sid].relevance for sid in subset)
                 qualifying.append(
-                    (size, total, subset, rep, {sid: slot_map[sid] for sid in subset})
+                    (size, total, subset, {sid: slot_map[sid] for sid in subset})
                 )
     if not qualifying:
         return None
     qualifying.sort(key=lambda q: (-q[0], -q[1], q[2]))
-    _, _, _, rep, slot_map = qualifying[0]
-    return rep, slot_map
+    return qualifying[0][3]
 
 
 def _fixed(spec: ChartSpec) -> bool:
@@ -229,14 +215,14 @@ def select_lead_chart(group_specs: list[ChartSpec], rng: random.Random) -> str:
     return rng.choice(sorted(s.id for s in group_specs))
 
 
-def which_color_align(specs: list[ChartSpec], index: FieldIndex) -> list[ColorGroup]:
+def which_color_align(specs: list[ChartSpec], graph: EntityGraph) -> list[ColorGroup]:
     """Group charts whose color channel binds the same linked field."""
     groups: dict[NodeKey, list[ChartSpec]] = {}
     for spec in specs:
         binding = spec.bindings.get("color")
         if binding is None:
             continue
-        rep = index.link_class(binding.source, binding.field)
+        rep = graph.link_class(binding.source, binding.field)
         groups.setdefault(rep, []).append(spec)
 
     out: list[ColorGroup] = []
@@ -248,7 +234,7 @@ def which_color_align(specs: list[ChartSpec], index: FieldIndex) -> list[ColorGr
         for spec in members:
             binding = spec.bindings["color"]
             bound_names.append(f"{binding.source}.{binding.field}")
-            field = index.field(binding.source, binding.field)
+            field = graph.field(binding.source, binding.field)
             if field is not None and field.values is not None:
                 categories.update(field.values)
         out.append(
@@ -264,37 +250,37 @@ def which_color_align(specs: list[ChartSpec], index: FieldIndex) -> list[ColorGr
 def build_plan(
     specs: list[ChartSpec],
     matrix: ViabilityMatrix,
-    index: FieldIndex,
+    graph: EntityGraph,
     datasets: dict[str, Dataset],
     seed: int = 0,
 ) -> CombinationPlan:
     """Decide every alignment of one view's charts: the spatial group with its
-    lead, axis, linkage class and shared domain, and the color groups."""
+    lead, axis, members' shared-field bindings and shared domain, and the
+    color groups."""
     rng = random.Random(seed)
     spatial = None
-    found = which_spatially_align(specs, matrix, index)
-    if found is not None:
-        rep, slot_map = found
+    slot_map = which_spatially_align(specs, matrix, graph)
+    if slot_map is not None:
         members = [s for s in specs if s.id in slot_map]
         lead_id = select_lead_chart(members, rng)
         lead = next(s for s in members if s.id == lead_id)
-        lead_binding = lead.bindings[slot_map[lead_id]]
+        shared = {s.id: s.bindings[slot_map[s.id]] for s in members}
         ordered = [lead_id] + [
             s.id for s in sorted(members, key=lambda s: (-s.relevance, s.id)) if s.id != lead_id
         ]
-        fields = {s.id: index.field(*s.bindings[slot_map[s.id]].key()) for s in members}
+        fields = {sid: graph.field(*binding.key()) for sid, binding in shared.items()}
         numeric = fields[lead_id] is not None and fields[lead_id].numeric
         fixed_axes = {slot_map[s.id] for s in members if _fixed(s)}
         spatial = SpatialGroup(
             member_ids=ordered,
             lead_id=lead_id,
-            shared_field=f"{lead_binding.source}.{lead_binding.field}",
+            shared_field=f"{shared[lead_id].source}.{shared[lead_id].field}",
             axis=fixed_axes.pop() if fixed_axes else slot_map[lead_id],
             domain=_shared_domain(lead, fields, numeric, datasets),
-            class_rep=rep,
+            shared_bindings=shared,
             numeric=numeric,
         )
-    color_groups = which_color_align(specs, index)
+    color_groups = which_color_align(specs, graph)
     in_spatial = set(spatial.member_ids) if spatial else set()
     unaligned = [s.id for s in specs if s.id not in in_spatial]
     return CombinationPlan(spatial, color_groups, unaligned, seed)
@@ -324,18 +310,19 @@ def _shared_domain(
     return domain + sorted({v for f in present if f.values for v in f.values} - seen)
 
 
-def bind_alignment(
-    specs: list[ChartSpec],
-    plan: CombinationPlan,
-    index: FieldIndex,
-) -> list[ChartSpec]:
-    """Apply the plan: move each spatial member's shared field onto the
-    group's axis, stamp the shared domain and palettes, and mark specs
-    render-ready.
+def bind_alignment(specs: list[ChartSpec], plan: CombinationPlan) -> list[ChartSpec]:
+    """Apply the plan: swap x and y of each spatial member whose recorded
+    shared-field binding sits on the other channel, stamp the shared domain
+    and palettes, and mark specs render-ready. Returns copies; the inputs are
+    left alone.
 
-    Idempotent: rebinding already-bound specs yields identical output.
+    Idempotent: after a swap the other channel holds a field of another
+    linkage class, so rebinding already-bound specs yields identical output.
     """
-    out = {spec.id: spec.copy() for spec in specs}
+    out = {
+        spec.id: replace(spec, bindings=dict(spec.bindings), annotations=dict(spec.annotations))
+        for spec in specs
+    }
 
     group = plan.spatial
     if group is not None:
@@ -344,7 +331,7 @@ def bind_alignment(
             "domain_order", "axis_domain")
         for sid in group.member_ids:
             spec = out[sid]
-            if class_channels(spec, index).get(group.class_rep) == [other]:
+            if spec.bindings.get(other) == group.shared_bindings[sid]:
                 moved = spec.bindings.pop(other)
                 if group.axis in spec.bindings:
                     spec.bindings[other] = spec.bindings.pop(group.axis)

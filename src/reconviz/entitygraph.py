@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import EmptySet
 from .ingest import Field
@@ -84,9 +85,6 @@ class EntityGraph:
     def nodes(self) -> list[NodeKey]:
         return sorted(self._adjacency)
 
-    def degree(self, node: NodeKey) -> int:
-        return len(self._adjacency[node])
-
     def field_degree(self, field: Field) -> int:
         key = spoke_key(field)
         return len(self._adjacency[key]) if key in self._adjacency else 0
@@ -94,7 +92,18 @@ class EntityGraph:
     def neighbors(self, node: NodeKey) -> list[tuple[NodeKey, Fraction | None]]:
         return self._adjacency[node]
 
-    def link_classes(self) -> dict[NodeKey, NodeKey]:
+    def field(self, source: str, name: str) -> Field | None:
+        """The spoke `source.name`, or None when the graph has no such field."""
+        return self.fields.get((SPOKE, source, name))
+
+    def link_class(self, source: str, name: str) -> NodeKey:
+        """Representative spoke of the linkage class of `source.name`; a field
+        the graph does not know is its own class."""
+        key = (SPOKE, source, name)
+        return self._link_classes.get(key, key)
+
+    @cached_property
+    def _link_classes(self) -> dict[NodeKey, NodeKey]:
         """Union-find over linkage edges: spoke -> representative spoke.
 
         Two fields in the same class carry the same linked identity (e.g. a
@@ -241,8 +250,8 @@ def _path_from_sequence(component: EntityGraph, seq: tuple[NodeKey, ...], compon
 
 
 def enumerate_paths(component: EntityGraph, component_id: int = 0) -> list[GraphPath]:
-    """One singleton path per hub plus the cheapest path per hub pair,
-    deduplicated by (hub set, edge set) in source-then-target order.
+    """One singleton path per hub plus the cheapest path per reachable hub
+    pair, in source-then-target order.
 
     A pair's path is the cheapest simple node sequence between its hubs.
     Cost: 1 - J on linkage edges, 0 on source-field edges. Ties prefer fewer
@@ -250,12 +259,16 @@ def enumerate_paths(component: EntityGraph, component_id: int = 0) -> list[Graph
     smallest node sequence. Costs are scaled by D, the lcm of the component's
     weight denominators: each step is an exact integer D·(1 - J), and a
     positive scale keeps both order and ties.
+
+    No path repeats another's (hub set, link-edge set): a pair path's link
+    edges chain its spokes, and each chain ends in spokes that join their own
+    hubs, so the edge set fixes the node sequence and both end hubs, and the
+    search emits one path per hub pair.
     """
     hub_ids = sorted(component.hubs)
     paths: list[GraphPath] = [
         GraphPath((hub_key(ds),), (ds,), (), component_id) for ds in hub_ids
     ]
-    seen = {p.identity() for p in paths}
     scale = math.lcm(*(w.denominator for w in component.links.values()))
     steps = {
         node: [
@@ -271,13 +284,8 @@ def enumerate_paths(component: EntityGraph, component_id: int = 0) -> list[Graph
     for i, source in enumerate(hub_ids):
         targets = [hub_key(target) for target in hub_ids[i + 1 :]]
         found = _first_pops(steps, source, targets)
-        for target in targets:
-            if target not in found:
-                continue
-            path = _path_from_sequence(component, found[target], component_id)
-            if path.identity() not in seen:
-                seen.add(path.identity())
-                paths.append(path)
+        paths += [_path_from_sequence(component, found[target], component_id)
+                  for target in targets if target in found]
     return paths
 
 

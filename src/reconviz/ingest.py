@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -277,12 +278,15 @@ def field_raw_values(field: Field, dataset: Dataset) -> list[str]:
 # Format readers
 # ---------------------------------------------------------------------------
 
-def _read_csv_table(path: Path, dtype: str) -> Table:
+def _read_text(path: Path, dtype: str) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(dtype, str(path), f"not UTF-8: {exc}")
-    rows = list(csv.reader(io.StringIO(text)))
+
+
+def _read_csv_table(path: Path, dtype: str) -> Table:
+    rows = list(csv.reader(io.StringIO(_read_text(path, dtype))))
     rows = [row for row in rows if row]
     if not rows:
         raise ParseError(dtype, str(path), "file is empty")
@@ -349,9 +353,12 @@ def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
                 pos += 1
             token = text[start:pos].strip()
             try:
-                return float(token)
+                length = float(token)
+                if math.isfinite(length):
+                    return length
             except ValueError:
-                raise error(f"bad branch length {token!r} at offset {start}")
+                pass
+            raise error(f"bad branch length {token!r} at offset {start}")
         return None
 
     def finish(node: TreeNode) -> None:
@@ -411,14 +418,14 @@ def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
 
 
 def _read_tree(path: Path) -> TreeNode:
-    return parse_newick(path.read_text(encoding="utf-8"), str(path))
+    return parse_newick(_read_text(path, TREE), str(path))
 
 
 def _read_fasta(path: Path) -> SequenceSet:
     records: list[tuple[str, str]] = []
     current_id: str | None = None
     chunks: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, GENOMIC).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -449,20 +456,30 @@ def _ring_points(ring: list) -> tuple:
     for pt in ring:
         if not isinstance(pt, list) or len(pt) < 2:
             raise ValueError("bad ring coordinate")
-        pts.append((float(pt[0]), float(pt[1])))
+        lon, lat = float(pt[0]), float(pt[1])
+        if not (math.isfinite(lon) and math.isfinite(lat)):
+            raise ValueError("non-finite ring coordinate")
+        pts.append((lon, lat))
     return tuple(pts)
 
 
 def _read_geojson(path: Path) -> FeatureSet:
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path, SPATIAL))
     except json.JSONDecodeError as exc:
         raise ParseError(SPATIAL, str(path), f"invalid JSON: {exc.msg}", line=exc.lineno)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(SPATIAL, str(path), "expected a GeoJSON FeatureCollection")
+    raw_features = doc.get("features", [])
+    if not isinstance(raw_features, list):
+        raise ParseError(SPATIAL, str(path), "\"features\" is not an array")
     features = []
-    for i, feat in enumerate(doc.get("features", [])):
+    for i, feat in enumerate(raw_features):
+        if not isinstance(feat, dict):
+            raise ParseError(SPATIAL, str(path), f"feature {i} is not an object")
         geom = feat.get("geometry") or {}
+        if not isinstance(geom, dict):
+            raise ParseError(SPATIAL, str(path), f"feature {i}: geometry is not an object")
         props = feat.get("properties")
         if not isinstance(props, dict):
             raise ParseError(SPATIAL, str(path), f"feature {i} has no properties object")

@@ -1,10 +1,11 @@
 """Arrange rendered chart fragments into the final view grid.
 
 The spatially aligned group occupies the top row exclusively, lead chart
-leftmost; everything else fills the next row by descending relevance. The
-grid defaults to 2x3 and grows columns when a row needs more cells. The final
-document carries a provenance block and, for spatial groups, a shared-axis
-banner naming the alignment field.
+leftmost; everything else fills the next row in the order given (the
+pipeline passes specs already sorted by descending relevance and capped at
+`max_charts`). The grid defaults to 2x3 and grows columns when a row needs
+more cells. The final document carries a provenance block and, for spatial
+groups, a shared-axis banner naming the alignment field.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import MissingFragment
 from .svg import SvgBuilder, fmt
 from .charts import CELL_W, CELL_H
 
-DEFAULT_MAX_CHARTS = 5
 BASE_COLS = 3
 
 OUTER_MARGIN = 24.0
@@ -46,19 +46,11 @@ class ViewLayout:
         }
 
 
-def arrange_grid(
-    plan: CombinationPlan,
-    specs: list[ChartSpec],
-    max_charts: int = DEFAULT_MAX_CHARTS,
-) -> ViewLayout:
-    ordered = sorted(specs, key=lambda s: (-s.relevance, s.chart_type, s.dataset_id))
-    kept = ordered[:max_charts]
-    kept_ids = {s.id for s in kept}
-
-    spatial_ids: list[str] = []
-    if plan.spatial is not None:
-        spatial_ids = [sid for sid in plan.spatial.member_ids if sid in kept_ids]
-    rest = [s.id for s in kept if s.id not in spatial_ids]
+def arrange_grid(plan: CombinationPlan, specs: list[ChartSpec]) -> ViewLayout:
+    """One cell per spec: the plan's spatial members in group order, then the
+    other specs in the order given."""
+    spatial_ids = list(plan.spatial.member_ids) if plan.spatial is not None else []
+    rest = [s.id for s in specs if s.id not in spatial_ids]
 
     cells: dict[str, tuple[int, int]] = {}
     annotations: list[str] = []

@@ -19,10 +19,10 @@ from .chartspec import (
     prioritize_fields,
 )
 from .charts import render_chart
-from .combine import CombinationPlan, FieldIndex, ViabilityMatrix, bind_alignment, build_plan
+from .combine import CombinationPlan, ViabilityMatrix, bind_alignment, build_plan
 from .designspace import RelevanceTable, TypeEncodingMap
 from .entitygraph import EntityGraph, build_entity_graph
-from .ingest import Dataset, Field, FieldMetadata, explode_fields
+from .ingest import Dataset, Field, explode_fields
 from .layout import ViewLayout, arrange_grid, render_view
 from .ranking import RankedPath, rank_paths
 
@@ -55,7 +55,6 @@ class View:
 class Assembly:
     datasets: dict[str, Dataset]
     fields: list[Field]
-    metadata: FieldMetadata
     graph: EntityGraph
     ranked: list[RankedPath]
     views: list[View]
@@ -87,12 +86,11 @@ def assemble(
 ) -> Assembly:
     """Rank the paths and build views in rank order: all of them, or only the
     first `view_limit` when that is given and at least 1."""
-    fields, metadata, graph = build_graph(datasets, min_jaccard)
+    fields, _, graph = build_graph(datasets, min_jaccard)
     encoding_map.validate_against(table)
     by_id = {d.id: d for d in datasets}
     dtypes = {d.id: d.dtype for d in datasets}
     ranked = rank_paths(graph, dtypes, encoding_map, table)
-    index = FieldIndex(fields, graph.link_classes())
 
     views: list[View] = []
     emitted_per_component: dict[int, int] = {}
@@ -110,22 +108,19 @@ def assemble(
         )[:max_charts]
         if not specs:
             continue
-        plan = build_plan(specs, matrix, index, by_id, seed=seed * _SEED_STRIDE + rank_position)
-        final = bind_alignment(specs, plan, index)
-        layout = arrange_grid(plan, final, max_charts)
+        plan = build_plan(specs, matrix, graph, by_id, seed=seed * _SEED_STRIDE + rank_position)
+        final = bind_alignment(specs, plan)
+        layout = arrange_grid(plan, final)
         emitted_per_component[component] = emitted_per_component.get(component, 0) + 1
         views.append(View(len(views) + 1, rp, final, plan, layout))
         if len(views) == view_limit:
             break
-    return Assembly(by_id, fields, metadata, graph, ranked, views)
+    return Assembly(by_id, fields, graph, ranked, views)
 
 
 def render_view_svg(assembly: Assembly, view: View) -> str:
-    fragments = {
-        spec.id: render_chart(spec, assembly.datasets, assembly.fields)
-        for spec in view.specs
-        if spec.id in view.layout.cells
-    }
+    fragments = {spec.id: render_chart(spec, assembly.datasets, assembly.fields)
+                 for spec in view.specs}
     provenance = {
         "diversity": view.ranked.diversity,
         "encoding_relevance": view.ranked.encoding_relevance,

@@ -12,7 +12,7 @@ import pytest
 
 from reconviz.chartspec import EncodingSlot, assign_field_to_slot, slot_accepts
 from reconviz.cli import main
-from reconviz.combine import IMMUTABLE_CHART_TYPES, FieldIndex, bind_alignment
+from reconviz.combine import IMMUTABLE_CHART_TYPES, bind_alignment
 from reconviz.entitygraph import (
     build_entity_graph,
     connected_components,
@@ -226,7 +226,6 @@ def test_c06_alignment_invariants_fuzz(relevance_table, encoding_map, templates,
     for trial in range(40):
         datasets = _random_collection(rng)
         asm = assemble(datasets, relevance_table, encoding_map, templates, viability, seed=trial)
-        index = FieldIndex(asm.fields, asm.graph.link_classes())
         for view in asm.views:
             group = view.plan.spatial
             if group is not None:
@@ -249,7 +248,7 @@ def test_c06_alignment_invariants_fuzz(relevance_table, encoding_map, templates,
                     if any(s.id == sid for s in view.specs)
                 ]
                 assert all(p == cgroup.palette for p in palettes)
-            rebound = bind_alignment(view.specs, view.plan, index)
+            rebound = bind_alignment(view.specs, view.plan)
             assert (
                 json.dumps([s.to_dict() for s in rebound], sort_keys=True)
                 == json.dumps([s.to_dict() for s in view.specs], sort_keys=True)

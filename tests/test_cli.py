@@ -217,7 +217,58 @@ class TestRelevance:
         assert run(["relevance", "--config", cfg]) == 2
 
 
+def _geojson(features) -> bytes:
+    """Python's JSON writer spells non-finite floats NaN and Infinity."""
+    return json.dumps({"type": "FeatureCollection", "features": features}).encode()
+
+
+NAN = float("nan")
+
+# id -> (dtype, file name, file bytes); each must fail as an input error.
+MALFORMED_INPUTS = {
+    "newick_non_finite_lengths": ("tree", "t.nwk", b"((a:nan,b:1):1,(c:inf,d:2):1);\n"),
+    "newick_not_utf8": ("tree", "t.nwk", b"((a:1,\xff:1):1,(c:1,d:2):1);\n"),
+    "geojson_nan_coordinate": ("spatial", "g.geojson", _geojson(
+        [{"type": "Feature", "properties": {"zone": "A"}, "geometry": {
+            "type": "Polygon", "coordinates": [[[NAN, 34], [10, 234], [NAN, 34]]]}}])),
+    "geojson_not_utf8": ("spatial", "g.geojson", b'{"type": "\xffFeatureCollection"}'),
+    "geojson_feature_not_object": ("spatial", "g.geojson", _geojson([1])),
+    "geojson_geometry_not_object": ("spatial", "g.geojson", _geojson(
+        [{"type": "Feature", "properties": {"zone": "A"}, "geometry": [1]}])),
+    "geojson_features_not_array": ("spatial", "g.geojson",
+                                   b'{"type": "FeatureCollection", "features": 5}'),
+    "geojson_invalid_json": ("spatial", "g.geojson", b'{"type": "FeatureCollection",'),
+    "geojson_point_geometry": ("spatial", "g.geojson", _geojson(
+        [{"type": "Feature", "properties": {"zone": "A"},
+          "geometry": {"type": "Point", "coordinates": [0, 0]}}])),
+    "geojson_no_features": ("spatial", "g.geojson", _geojson([])),
+    "fasta_not_utf8": ("genomic", "s.fasta", b">a\nAC\xffGT\n"),
+    "fasta_data_before_header": ("genomic", "s.fasta", b"ACGT\n>a\nACGT\n"),
+    "fasta_empty_header": ("genomic", "s.fasta", b">a\nACGT\n>\nACGT\n"),
+    "fasta_no_records": ("genomic", "s.fasta", b"\n\n"),
+    "csv_not_utf8": ("tabular", "x.csv", b"sample_id,grp\na,\xff\n"),
+    "csv_empty": ("tabular", "x.csv", b""),
+    "csv_duplicate_header": ("tabular", "x.csv", b"sample_id,grp,grp\na,X,Y\n"),
+    "csv_ragged_row": ("tabular", "x.csv", b"sample_id,grp\na,X\nb,Y,Z\n"),
+    "edge_list_one_column": ("network", "e.csv", b"source\na\nb\n"),
+}
+
+
 class TestRobustness:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_input_exits_two_and_names_file(self, tmp_path, capsys, case):
+        dtype, name, content = MALFORMED_INPUTS[case]
+        (tmp_path / name).write_bytes(content)
+        (tmp_path / "m.csv").write_text("sample_id,grp\na,X\nb,Y\nc,X\nd,Y\n")
+        cfg = write_config(tmp_path, [
+            {"id": "bad", "path": str(tmp_path / name), "dtype": dtype},
+            {"id": "m", "path": str(tmp_path / "m.csv"), "dtype": "tabular"},
+        ])
+        assert run(["render", "--config", cfg, "--view", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not (tmp_path / "out").exists()
+
     def test_fieldless_datasets_warn_once_each_and_leave_outputs_alone(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text("pid,grp\n" + "".join(f"p{i},g{i % 2}\n" for i in range(14)))
         (tmp_path / "blank.csv").write_text("a,b\nNA,\nna,null\n")

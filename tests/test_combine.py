@@ -5,7 +5,6 @@ import pytest
 
 from reconviz.chartspec import Binding, ChartSpec
 from reconviz.combine import (
-    FieldIndex,
     ViabilityMatrix,
     bind_alignment,
     build_palette,
@@ -45,7 +44,7 @@ SAMPLES = {f"s{i}" for i in range(1, 14)}
 
 
 @pytest.fixture()
-def linked_index():
+def linked_graph():
     """tree.tip_label ~ tab.sample_id (J=1); tab.country ~ geo.country."""
     fields = [
         field("tip_label", "tree", SAMPLES),
@@ -55,8 +54,7 @@ def linked_index():
         field("age", "tab", numeric=True, rows=13),
         field("lane", "img", SAMPLES),
     ]
-    graph = build_entity_graph(fields)
-    return FieldIndex(fields, graph.link_classes())
+    return build_entity_graph(fields)
 
 
 class TestViabilityMatrix:
@@ -77,7 +75,7 @@ class TestViabilityMatrix:
 
 
 class TestWhichSpatiallyAlign:
-    def test_tree_scatter_heatmap_group(self, viability, linked_index):
+    def test_tree_scatter_heatmap_group(self, viability, linked_graph):
         specs = [
             spec("tree:phylogenetic tree", "phylogenetic tree", "tree", 10.0,
                  y="tree.tip_label"),
@@ -85,25 +83,25 @@ class TestWhichSpatiallyAlign:
                  x="tab.sample_id", y="tab.age"),
             spec("tab:heatmap", "heatmap", "tab", 2.0, y="tab.sample_id", x="tab.age"),
         ]
-        rep, slot_map = which_spatially_align(specs, viability, linked_index)
+        slot_map = which_spatially_align(specs, viability, linked_graph)
         assert set(slot_map) == {s.id for s in specs}
         assert slot_map["tree:phylogenetic tree"] == "y"
         assert slot_map["tab:scatter chart"] == "x"
 
-    def test_image_never_aligns(self, viability, linked_index):
+    def test_image_never_aligns(self, viability, linked_graph):
         specs = [
             spec("tree:phylogenetic tree", "phylogenetic tree", "tree", 10.0,
                  y="tree.tip_label"),
             spec("img:image", "image", "img", 1.0, y="img.lane"),
         ]
-        assert which_spatially_align(specs, viability, linked_index) is None
+        assert which_spatially_align(specs, viability, linked_graph) is None
 
-    def test_map_bar_rejected_by_matrix(self, viability, linked_index):
+    def test_map_bar_rejected_by_matrix(self, viability, linked_graph):
         specs = [
             spec("geo:geographic map", "geographic map", "geo", 6.0, x="geo.country"),
             spec("tab:bar chart", "bar chart", "tab", 4.0, x="tab.country"),
         ]
-        assert which_spatially_align(specs, viability, linked_index) is None
+        assert which_spatially_align(specs, viability, linked_graph) is None
 
     def test_group_limited_to_one_immutable(self, viability):
         fields = [
@@ -112,20 +110,18 @@ class TestWhichSpatiallyAlign:
             field("sample_id", "tab", SAMPLES),
         ]
         graph = build_entity_graph(fields)
-        index = FieldIndex(fields, graph.link_classes())
         specs = [
             spec("t1:phylogenetic tree", "phylogenetic tree", "t1", 10.0, y="t1.tip_label"),
             spec("t2:phylogenetic tree", "phylogenetic tree", "t2", 10.0, y="t2.tip_label"),
             spec("tab:scatter chart", "scatter chart", "tab", 3.0, x="tab.sample_id",
                  y="tab.age"),
         ]
-        found = which_spatially_align(specs, viability, index)
-        assert found is not None
-        _, slot_map = found
+        slot_map = which_spatially_align(specs, viability, graph)
+        assert slot_map is not None
         trees = [sid for sid in slot_map if "phylogenetic" in sid]
         assert len(trees) == 1  # two trees can never share one group
 
-    def test_charts_that_cannot_swap_must_share_a_channel(self, linked_index):
+    def test_charts_that_cannot_swap_must_share_a_channel(self, linked_graph):
         types = ("histogram", "table", "scatter chart")
         matrix = ViabilityMatrix({(a, b): "S" for a in types for b in types})
         specs = [
@@ -134,12 +130,12 @@ class TestWhichSpatiallyAlign:
             spec("tab:scatter chart", "scatter chart", "tab", 3.0, x="tab.sample_id",
                  y="tab.age"),
         ]
-        _, slot_map = which_spatially_align(specs, matrix, linked_index)
+        slot_map = which_spatially_align(specs, matrix, linked_graph)
         assert slot_map == {"tab:histogram": "x", "tab:scatter chart": "y"}
 
 
 class TestSelectLead:
-    def test_immutable_member_wins(self, viability, linked_index):
+    def test_immutable_member_wins(self, viability, linked_graph):
         members = [
             spec("tree:phylogenetic tree", "phylogenetic tree", "tree", 10.0, y="tree.tip_label"),
             spec("tab:scatter chart", "scatter chart", "tab", 3.0, x="tab.sample_id"),
@@ -168,30 +164,30 @@ class TestSelectLead:
 
 
 class TestWhichColorAlign:
-    def test_linked_color_fields_group(self, linked_index):
+    def test_linked_color_fields_group(self, linked_graph):
         specs = [
             spec("tab:scatter chart", "scatter chart", "tab", 3.0,
                  x="tab.sample_id", color="tab.country"),
             spec("geo:geographic map", "geographic map", "geo", 6.0,
                  x="geo.country", color="geo.country"),
         ]
-        groups = which_color_align(specs, linked_index)
+        groups = which_color_align(specs, linked_graph)
         assert len(groups) == 1
         assert groups[0].member_ids == ["geo:geographic map", "tab:scatter chart"]
         # palette covers the union of both fields' categories
         assert set(groups[0].palette) == {"gin", "lbr", "sle", "mli"}
 
-    def test_no_color_bindings(self, linked_index):
+    def test_no_color_bindings(self, linked_graph):
         specs = [spec("tab:heatmap", "heatmap", "tab", 2.0, y="tab.sample_id")]
-        assert which_color_align(specs, linked_index) == []
+        assert which_color_align(specs, linked_graph) == []
 
-    def test_different_fields_do_not_group(self, linked_index):
+    def test_different_fields_do_not_group(self, linked_graph):
         specs = [
             spec("tab:scatter chart", "scatter chart", "tab", 3.0, color="tab.country"),
             spec("tree:phylogenetic tree", "phylogenetic tree", "tree", 10.0,
                  color="tree.tip_label"),
         ]
-        assert which_color_align(specs, linked_index) == []
+        assert which_color_align(specs, linked_graph) == []
 
 
 class TestPalette:
@@ -260,7 +256,7 @@ class TestBindAlignment:
         ]
         assert palettes[0] == palettes[1] == groups[0].palette
 
-    def test_plan_without_spatial_group_only_stamps_palettes(self, linked_index, viability):
+    def test_plan_without_spatial_group_only_stamps_palettes(self, linked_graph, viability):
         specs = [
             spec("tab:scatter chart", "scatter chart", "tab", 3.0,
                  x="tab.sample_id", color="tab.country"),
@@ -268,18 +264,18 @@ class TestBindAlignment:
                  x="geo.country", color="geo.country"),
         ]
         datasets = {}
-        plan = build_plan(specs, viability, linked_index, datasets, seed=5)
+        plan = build_plan(specs, viability, linked_graph, datasets, seed=5)
         assert plan.spatial is None
-        bound = bind_alignment(specs, plan, linked_index)
+        bound = bind_alignment(specs, plan)
         for before, after in zip(specs, bound):
             assert after.bindings == before.bindings  # no reorientation
             assert after.annotations["render_ready"] is True
         assert "palette" in bound[0].annotations
 
-    def test_unaligned_specs_pass_through_unchanged(self, linked_index, viability):
+    def test_unaligned_specs_pass_through_unchanged(self, linked_graph, viability):
         lonely = spec("tab:bar chart", "bar chart", "tab", 4.0, x="tab.country")
-        plan = build_plan([lonely], viability, linked_index, {}, seed=1)
-        bound = bind_alignment([lonely], plan, linked_index)[0]
+        plan = build_plan([lonely], viability, linked_graph, {}, seed=1)
+        bound = bind_alignment([lonely], plan)[0]
         assert bound.bindings == lonely.bindings
         assert plan.unaligned == ["tab:bar chart"]
         stripped = {k: v for k, v in bound.annotations.items() if k != "render_ready"}
@@ -290,24 +286,22 @@ class TestBindAlignment:
         asm = synthetic_assembly(synthetic_dir, relevance_table, encoding_map, templates,
                                  viability)
         for view in asm.views:
-            again = bind_alignment(
-                view.specs, view.plan, FieldIndex(asm.fields, asm.graph.link_classes()),
-            )
+            again = bind_alignment(view.specs, view.plan)
             a = json.dumps([s.to_dict() for s in view.specs], sort_keys=True)
             b = json.dumps([s.to_dict() for s in again], sort_keys=True)
             assert a == b
 
-    def test_chart_binding_shared_field_on_both_axes_stays_unaligned(self, linked_index,
+    def test_chart_binding_shared_field_on_both_axes_stays_unaligned(self, linked_graph,
                                                                        viability):
         twisted = spec("tab:heatmap", "heatmap", "tab", 2.0,
                        x="tab.sample_id", y="tab.sample_id")
         tree = spec("tree:phylogenetic tree", "phylogenetic tree", "tree", 10.0,
                     y="tree.tip_label")
-        plan = build_plan([tree, twisted], viability, linked_index,
+        plan = build_plan([tree, twisted], viability, linked_graph,
                           {"tree": Dataset("tree", "tree", None)}, seed=0)
         assert plan.spatial is None
         assert plan.unaligned == ["tree:phylogenetic tree", "tab:heatmap"]
-        bound = bind_alignment([tree, twisted], plan, linked_index)
+        bound = bind_alignment([tree, twisted], plan)
         assert bound[1].bindings == twisted.bindings
         assert "shared_axis" not in bound[1].annotations
 

@@ -430,6 +430,34 @@ class TestEnumeratePaths:
                 component, component_id)
 
 
+class TestFieldLookups:
+    @given(linked_graphs())
+    def test_link_classes_are_link_reachability(self, graph):
+        adjacency = {key: [] for key in graph.fields}
+        for a, b in graph.links:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        for key, spoke in graph.fields.items():
+            assert graph.field(key[1], key[2]) is spoke
+            reached, frontier = {key}, [key]
+            while frontier:
+                for neighbor in adjacency[frontier.pop()]:
+                    if neighbor not in reached:
+                        reached.add(neighbor)
+                        frontier.append(neighbor)
+            for other in graph.fields:
+                same = graph.link_class(key[1], key[2]) == graph.link_class(other[1], other[2])
+                assert same == (other in reached)
+
+    @given(linked_graphs())
+    def test_unknown_field_is_none_and_its_own_class(self, graph):
+        known = {graph.link_class(key[1], key[2]) for key in graph.fields}
+        for source, name in (("nowhere", "f0"), ("d0", "missing")):
+            assert graph.field(source, name) is None
+            assert graph.link_class(source, name) == ("field", source, name)
+            assert graph.link_class(source, name) not in known
+
+
 class TestRenderGraph:
     def test_empty_graph_yields_valid_svg(self):
         svg = render_entity_graph(build_entity_graph([]))

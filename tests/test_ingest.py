@@ -179,6 +179,16 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(path, "spatial")
 
+    @pytest.mark.parametrize("coordinate", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_geojson_non_finite_coordinate_is_malformed(self, tmp_path, coordinate):
+        path = tmp_path / "bad.geojson"
+        ring = f"[[{coordinate}, 34], [10, 234], [{coordinate}, 34]]"
+        path.write_text('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+                        '"properties": {"zone": "A"}, '
+                        f'"geometry": {{"type": "Polygon", "coordinates": [{ring}]}}}}]}}')
+        with pytest.raises(ParseError, match="feature 0: malformed coordinates"):
+            load_dataset(path, "spatial")
+
     def test_network_edge_list(self, tmp_path):
         path = tmp_path / "net.csv"
         path.write_text("source,target,kind\nn1,n2,contact\nn2,n3,contact\nn1,n3,travel\n")
@@ -258,6 +268,12 @@ class TestNewickParser:
     )
     def test_malformed_trees(self, text):
         with pytest.raises(ParseError):
+            parse_newick(text)
+
+    @pytest.mark.parametrize("length", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_branch_length_is_a_parse_error(self, length):
+        text = f"((a:1,b:{length}):1,(c:1,d:2):1);"
+        with pytest.raises(ParseError, match=f"bad branch length '{length}' at offset 8"):
             parse_newick(text)
 
 

@@ -331,16 +331,6 @@ class TestArrangeGrid:
         assert (layout.rows, layout.cols) == (1, 1)
         assert layout.cells == {"tab:bar chart": (0, 0)}
 
-    def test_six_specs_drop_lowest_relevance(self):
-        from reconviz.combine import CombinationPlan
-
-        ids = ["tree:phylogenetic tree", "geo:geographic map", "tab:bar chart",
-               "tab:scatter chart", "tab:heatmap", "tab:line chart"]
-        specs = self.make_specs(ids)
-        layout = arrange_grid(CombinationPlan(None, [], ids), specs, max_charts=5)
-        assert len(layout.cells) == 5
-        assert "tab:line chart" not in layout.cells
-
     def test_spatial_row_grows_columns_past_three(self):
         from reconviz.combine import CombinationPlan, SpatialGroup
 
