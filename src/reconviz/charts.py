@@ -10,15 +10,12 @@ can be verified on the output.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
 from datetime import date
 
 from .chartspec import Binding, ChartSpec
 from .combine import build_palette
 from .errors import DataMismatch, UnsupportedChartType
-from .ingest import (
-    Dataset, Field, TABULAR, TreeNode, extent, field_raw_values, is_missing, numeric_values,
-)
+from .ingest import Dataset, Field, TABULAR, TreeNode, extent, present
 from .svg import SvgBuilder, fmt
 
 CELL_W = 320.0
@@ -48,51 +45,58 @@ TABLE_MAX_COLS = 4
 ALIGN_MAX_POSITIONS = 40
 
 
-@dataclass
-class Resolved:
-    """A spec binding resolved against the loaded data."""
-
-    field: Field
-    values: list[str]
-
-
-def _resolve(spec: ChartSpec, channel: str, datasets, fields_by_key) -> Resolved | None:
+def _resolve(spec: ChartSpec, channel: str, fields_by_key) -> Field | None:
+    """The field bound to `channel`, or None when the channel is unbound."""
     binding: Binding | None = spec.bindings.get(channel)
     if binding is None:
         return None
     field = fields_by_key.get((binding.source, binding.field))
     if field is None:
         raise DataMismatch(f"{spec.id}: unknown field {binding.source}.{binding.field}")
-    dataset = datasets.get(binding.source)
-    if dataset is None:
-        raise DataMismatch(f"{spec.id}: unknown dataset {binding.source}")
-    return Resolved(field, field_raw_values(field, dataset))
+    return field
+
+
+def _at(field: Field | None, row: int):
+    """The field's entry at `row`; None when the field is unbound, the entry
+    is missing, or the row is past the field's column."""
+    if field is None or row >= len(field.column):
+        return None
+    return field.column[row]
 
 
 def _iso_day(value: str) -> str | None:
     try:
-        return date.fromisoformat(value.strip()[:10]).isoformat()
+        return date.fromisoformat(value[:10]).isoformat()
     except ValueError:
         return None
+
+
+def _lerp(lo: float, span: float, i: int, n: int) -> float:
+    """lo + span * i / n, without overflow for a span near the float maximum.
+    Scaling by 1/16 and back is exact while span / 16 is a normal float, so
+    the result has the bits of the direct form wherever that is finite."""
+    return lo + span / 16 * i / n * 16
 
 
 class LinearScale:
     def __init__(self, lo: float, hi: float, out_lo: float, out_hi: float):
         if hi <= lo:
             hi = lo + 1.0
+            if hi == lo:  # 1 is below the resolution of a huge value: span 0..lo
+                lo, hi = min(lo, 0.0), max(lo, 0.0)
         self.lo, self.hi, self.out_lo, self.out_hi = lo, hi, out_lo, out_hi
 
     def __call__(self, value: float) -> float:
         t = (value - self.lo) / (self.hi - self.lo)
         return self.out_lo + t * (self.out_hi - self.out_lo)
 
-    def position(self, raw: str) -> float:
-        """Position of a present value of a numeric field (it parses as a number)."""
-        return self(float(raw))
+    def position(self, value: float) -> float:
+        """Position of a present value of a numeric field."""
+        return self(value)
 
     def tick_marks(self, max_labels: int) -> list[tuple[float, str | None]]:
         """Five evenly spaced ticks, always labeled."""
-        values = [self.lo + (self.hi - self.lo) * i / 4 for i in range(5)]
+        values = [_lerp(self.lo, self.hi - self.lo, i, 4) for i in range(5)]
         return [(self(v), fmt(v)) for v in values]
 
 
@@ -116,12 +120,12 @@ class BandScale:
         return [(self.position(cat), _clip(cat, 9) if show else None) for cat in self.domain]
 
 
-def _palette_for(spec: ChartSpec, color: Resolved | None) -> dict[str, str]:
+def _palette_for(spec: ChartSpec, color: Field | None) -> dict[str, str]:
     stamped = spec.annotations.get("palette")
     if stamped:
         return dict(stamped)
-    if color is not None and color.field.values is not None:
-        return build_palette(sorted(color.field.values))
+    if color is not None and color.values is not None:
+        return build_palette(sorted(color.values))
     return {}
 
 
@@ -170,12 +174,12 @@ def _clip(text: str, limit: int) -> str:
     return text if len(text) <= limit else text[: limit - 1] + "…"
 
 
-def _domain_for(spec: ChartSpec, channel: str, resolved: Resolved) -> list[str]:
+def _domain_for(spec: ChartSpec, channel: str, field: Field) -> list[str]:
     """Categorical domain: the stamped shared ordering when this channel is the
     shared axis, otherwise sorted distinct values."""
     if spec.annotations.get("shared_axis") == channel and spec.annotations.get("domain_order"):
         return list(spec.annotations["domain_order"])
-    return sorted(resolved.field.values)
+    return sorted(field.values)
 
 
 def _axis_numeric_domain(spec: ChartSpec, channel: str, values: list[float]) -> tuple[float, float]:
@@ -185,17 +189,16 @@ def _axis_numeric_domain(spec: ChartSpec, channel: str, values: list[float]) -> 
     return extent(values)
 
 
-def _scale_for(spec: ChartSpec, channel: str, resolved: Resolved):
+def _scale_for(spec: ChartSpec, channel: str, field: Field):
     """Numeric fields get a linear scale, non-numeric a band scale."""
     if channel == "x":
         out_lo, out_hi = MARGIN_L, MARGIN_L + PLOT_W
     else:
         out_lo, out_hi = MARGIN_T, MARGIN_T + PLOT_H
-    if resolved.field.numeric:
-        values = numeric_values(resolved.values)
-        lo, hi = _axis_numeric_domain(spec, channel, values)
+    if field.numeric:
+        lo, hi = _axis_numeric_domain(spec, channel, present(field.column))
         return LinearScale(lo, hi, out_lo, out_hi)
-    return BandScale(_domain_for(spec, channel, resolved), out_lo, out_hi)
+    return BandScale(_domain_for(spec, channel, field), out_lo, out_hi)
 
 
 def _legend(svg: SvgBuilder, palette: dict[str, str], used: list[str]) -> None:
@@ -214,10 +217,10 @@ def _legend(svg: SvgBuilder, palette: dict[str, str], used: list[str]) -> None:
 # Renderers
 # ---------------------------------------------------------------------------
 
-def _xy_axes(svg, spec, datasets, fields_by_key):
+def _xy_axes(svg, spec, fields_by_key):
     """Resolve and scale both positional channels and draw their axes and ticks."""
-    x = _resolve(spec, "x", datasets, fields_by_key)
-    y = _resolve(spec, "y", datasets, fields_by_key)
+    x = _resolve(spec, "x", fields_by_key)
+    y = _resolve(spec, "y", fields_by_key)
     xs = _scale_for(spec, "x", x)
     ys = _scale_for(spec, "y", y)
     _axes(svg)
@@ -226,11 +229,10 @@ def _xy_axes(svg, spec, datasets, fields_by_key):
     return x, y, xs, ys
 
 
-def _xy_points(x: Resolved, y: Resolved, xs, ys):
-    """(row, x raw, px, py) for every row with both values present and placeable."""
-    for i in range(min(len(x.values), len(y.values))):
-        xv, yv = x.values[i].strip(), y.values[i].strip()
-        if is_missing(xv) or is_missing(yv):
+def _xy_points(x: Field, y: Field, xs, ys):
+    """(row, x value, px, py) for every row with both values present and placeable."""
+    for i, (xv, yv) in enumerate(zip(x.column, y.column)):
+        if xv is None or yv is None:
             continue
         px, py = xs.position(xv), ys.position(yv)
         if px is not None and py is not None:
@@ -238,13 +240,13 @@ def _xy_points(x: Resolved, y: Resolved, xs, ys):
 
 
 def _render_scatter(svg, spec, datasets, fields_by_key):
-    x, y, xs, ys = _xy_axes(svg, spec, datasets, fields_by_key)
-    color = _resolve(spec, "color", datasets, fields_by_key)
+    x, y, xs, ys = _xy_axes(svg, spec, fields_by_key)
+    color = _resolve(spec, "color", fields_by_key)
     palette = _palette_for(spec, color)
     for i, _, px, py in _xy_points(x, y, xs, ys):
         attrs = {"fill": MARK_COLOR}
-        if color is not None and i < len(color.values) and not is_missing(color.values[i]):
-            cat = color.values[i].strip()
+        cat = _at(color, i)
+        if cat is not None:
             attrs = {"fill": palette.get(cat, MARK_COLOR), "data-category": cat}
         svg.circle(px, py, 3, **attrs, **{"class": "mark"})
     if color is not None:
@@ -254,8 +256,8 @@ def _render_scatter(svg, spec, datasets, fields_by_key):
 
 
 def _render_bar(svg, spec, datasets, fields_by_key):
-    x = _resolve(spec, "x", datasets, fields_by_key)
-    color = _resolve(spec, "color", datasets, fields_by_key)
+    x = _resolve(spec, "x", fields_by_key)
+    color = _resolve(spec, "color", fields_by_key)
     palette = _palette_for(spec, color)
     domain = _domain_for(spec, "x", x)
     xs = BandScale(domain, MARGIN_L, MARGIN_L + PLOT_W)
@@ -263,13 +265,12 @@ def _render_bar(svg, spec, datasets, fields_by_key):
     # bar height is always the row count per category
     counts = {cat: 0 for cat in domain}
     stacks: dict[str, dict[str, int]] = {cat: {} for cat in domain}
-    for i, raw in enumerate(x.values):
-        cat = raw.strip()
-        if is_missing(raw) or cat not in counts:
+    for i, cat in enumerate(x.column):
+        if cat is None or cat not in counts:
             continue
         counts[cat] += 1
-        if color is not None and i < len(color.values) and not is_missing(color.values[i]):
-            sub = color.values[i].strip()
+        sub = _at(color, i)
+        if sub is not None:
             stacks[cat][sub] = stacks[cat].get(sub, 0) + 1
     top = max(counts.values(), default=0) or 1
     ys = LinearScale(0, top, MARGIN_T + PLOT_H, MARGIN_T)
@@ -302,8 +303,8 @@ def _render_bar(svg, spec, datasets, fields_by_key):
 
 
 def _render_histogram(svg, spec, datasets, fields_by_key):
-    x = _resolve(spec, "x", datasets, fields_by_key)
-    values = numeric_values(x.values)
+    x = _resolve(spec, "x", fields_by_key)
+    values = present(x.column) if x.numeric else []
     lo, hi = _axis_numeric_domain(spec, "x", values)
     xs = LinearScale(lo, hi, MARGIN_L, MARGIN_L + PLOT_W)
     counts = [0] * HIST_BINS
@@ -327,10 +328,10 @@ def _render_histogram(svg, spec, datasets, fields_by_key):
 
 
 def _render_line(svg, spec, datasets, fields_by_key):
-    x, y, xs, ys = _xy_axes(svg, spec, datasets, fields_by_key)
+    x, y, xs, ys = _xy_axes(svg, spec, fields_by_key)
     # band positions grow with the category index; numbers sort by value, which
     # stays exact where nearby values round to one position
-    points = [(float(xv) if x.field.numeric else px, px, py)
+    points = [(xv if x.numeric else px, px, py)
               for _, xv, px, py in _xy_points(x, y, xs, ys)]
     points.sort(key=lambda p: (p[0], p[1]))
     if points:
@@ -340,46 +341,41 @@ def _render_line(svg, spec, datasets, fields_by_key):
     _axis_label(svg, spec, "y")
 
 
-def _bin_labels(resolved: Resolved, spec: ChartSpec, channel: str) -> tuple[list[str], list[str]]:
-    """Per-row bin labels plus the ordered bin domain for a heatmap axis.
+def _bin_labels(field: Field, spec: ChartSpec, channel: str) -> tuple[list, list[str]]:
+    """Per-row bin labels (None for a missing value) plus the ordered bin
+    domain for a heatmap axis.
 
     ISO dates bin by day; other non-numeric values bin by category; numeric
     values split into 5 equal bins labeled by range.
     """
-    raw = [v.strip() for v in resolved.values]
+    column = field.column
     if spec.annotations.get("shared_axis") == channel and spec.annotations.get("domain_order"):
-        domain = list(spec.annotations["domain_order"])
-        return raw, domain
-    if not resolved.field.numeric:
-        days = [_iso_day(v) for v in raw if not is_missing(v)]
-        if days and all(d is not None for d in days):
-            labels = [(_iso_day(v) or "") if not is_missing(v) else "" for v in raw]
-            return labels, sorted({d for d in labels if d})
-        return raw, sorted(resolved.field.values)
-    lo, hi = extent(numeric_values(raw))
+        return column, list(spec.annotations["domain_order"])
+    if not field.numeric:
+        days = {v: _iso_day(v) for v in present(column)}
+        if days and None not in days.values():
+            labels = [None if v is None else days[v] for v in column]
+            return labels, sorted(set(days.values()))
+        return column, sorted(field.values)
+    lo, hi = extent(present(column))
     span = (hi - lo) or 1.0
-    edges = [lo + span * i / 5 for i in range(6)]
+    edges = [_lerp(lo, span, i, 5) for i in range(6)]
     domain = [f"{fmt(edges[i])}–{fmt(edges[i + 1])}" for i in range(5)]
-    labels = []
-    for v in raw:
-        if is_missing(v):
-            labels.append("")
-        else:
-            labels.append(domain[min(4, max(0, int((float(v) - lo) / span * 5)))])
+    labels = [None if v is None else domain[min(4, max(0, int((v - lo) / span * 5)))]
+              for v in column]
     return labels, domain
 
 
 def _render_heatmap(svg, spec, datasets, fields_by_key):
-    x = _resolve(spec, "x", datasets, fields_by_key)
-    y = _resolve(spec, "y", datasets, fields_by_key)
+    x = _resolve(spec, "x", fields_by_key)
+    y = _resolve(spec, "y", fields_by_key)
     x_labels, x_domain = _bin_labels(x, spec, "x")
     y_labels, y_domain = _bin_labels(y, spec, "y")
     xs = BandScale(x_domain, MARGIN_L, MARGIN_L + PLOT_W)
     ys = BandScale(y_domain, MARGIN_T, MARGIN_T + PLOT_H)
     counts: dict[tuple[str, str], int] = {}
-    for i in range(min(len(x_labels), len(y_labels))):
-        cx, cy = x_labels[i], y_labels[i]
-        if not cx or not cy or cx not in xs.index or cy not in ys.index:
+    for cx, cy in zip(x_labels, y_labels):
+        if cx not in xs.index or cy not in ys.index:
             continue
         counts[(cx, cy)] = counts.get((cx, cy), 0) + 1
     top = max(counts.values(), default=1)
@@ -438,17 +434,17 @@ def _render_tree(svg, spec, datasets, fields_by_key):
     coords, max_depth = _tree_positions(root, domain, MARGIN_T, MARGIN_T + PLOT_H)
     xs = LinearScale(0, max_depth, MARGIN_L, MARGIN_L + PLOT_W - 70)
 
-    color = _resolve(spec, "color", datasets, fields_by_key)
+    color = _resolve(spec, "color", fields_by_key)
     palette = _palette_for(spec, color)
-    leaf_color: dict[str, str] = {}
+    leaf_color: dict[str, str | None] = {}
     if color is not None:
         dataset_ids = dataset.primary_ids()
-        if dataset.associated is not None and color.field.name not in root.raw_columns:
+        if dataset.associated is not None and color.name not in root.raw_columns:
             keys = dataset.associated.column(dataset.associated_key)
-            mapping = {k.strip(): v.strip() for k, v in zip(keys, color.values)}
-            leaf_color = {i.strip(): mapping.get(i.strip(), "") for i in dataset_ids}
+            mapping = {k.strip(): v for k, v in zip(keys, color.column)}
+            leaf_color = {i.strip(): mapping.get(i.strip()) for i in dataset_ids}
         else:
-            leaf_color = {i.strip(): v.strip() for i, v in zip(dataset_ids, color.values)}
+            leaf_color = {i.strip(): v for i, v in zip(dataset_ids, color.column)}
 
     # Each branch's two lines, depth first, left to right: (parent x, y, child).
     nx, ny = coords[id(root)]
@@ -465,8 +461,8 @@ def _render_tree(svg, spec, datasets, fields_by_key):
     for leaf in sorted(root.leaves(), key=lambda lf: coords[id(lf)][1]):
         lx, ly = coords[id(leaf)]
         label = (leaf.name or "").strip()
-        cat = leaf_color.get(label, "")
-        if not is_missing(cat):
+        cat = leaf_color.get(label)
+        if cat is not None:
             svg.circle(xs(lx) + 3, ly, 2.5, fill=palette.get(cat, MARK_COLOR),
                        **{"class": "mark", "data-category": cat})
         if show_labels:
@@ -478,8 +474,8 @@ def _render_tree(svg, spec, datasets, fields_by_key):
 
 def _render_map(svg, spec, datasets, fields_by_key):
     dataset = datasets[spec.dataset_id]
-    region = _resolve(spec, "x", datasets, fields_by_key) or _resolve(spec, "y", datasets, fields_by_key)
-    color = _resolve(spec, "color", datasets, fields_by_key)
+    region = _resolve(spec, "x", fields_by_key) or _resolve(spec, "y", fields_by_key)
+    color = _resolve(spec, "color", fields_by_key)
     palette = _palette_for(spec, color)
 
     points = [pt for feat in dataset.payload.features for poly in feat.polygons for pt in poly]
@@ -490,47 +486,41 @@ def _render_map(svg, spec, datasets, fields_by_key):
     xs = LinearScale(min(lons), max(lons), MARGIN_L, MARGIN_L + PLOT_W)
     ys = LinearScale(min(lats), max(lats), MARGIN_T + PLOT_H, MARGIN_T)
 
-    fill_values = None
+    ramp = None
     if color is None:
         # fall back to a numeric property ramp when no categorical color bound
-        numeric_props = sorted(
-            {f.name for f in fields_by_key.values() if f.source_id == dataset.id and f.numeric}
-        )
+        numeric_props = [f for f in fields_by_key.values() if f.source_id == dataset.id and f.numeric]
         if numeric_props:
-            fill_values = dataset.raw_columns[numeric_props[0]]
-            lo, hi = extent(numeric_values(fill_values))
+            ramp = min(numeric_props, key=lambda f: f.name)
+            lo, hi = extent(present(ramp.column))
 
     features = dataset.payload.features
     for i in sorted(range(len(features)), key=lambda k: str(sorted(features[k].properties.items()))):
         feat = features[i]
         fill = "#e8e8e8"
         attrs = {}
-        if color is not None:
-            cat = color.values[i].strip()
-            if not is_missing(cat):
-                fill = palette.get(cat, "#e8e8e8")
-                attrs["data-category"] = cat
-        elif fill_values is not None:
-            try:
-                v = float(fill_values[i])
-                t = (v - lo) / ((hi - lo) or 1.0)
-                fill = RAMP5[min(4, int(t * 5))]
-            except ValueError:
-                pass
+        cat = _at(color, i)
+        v = _at(ramp, i)
+        if cat is not None:
+            fill = palette.get(cat, "#e8e8e8")
+            attrs["data-category"] = cat
+        elif v is not None:
+            t = (v - lo) / ((hi - lo) or 1.0)
+            fill = RAMP5[min(4, int(t * 5))]
         for poly in feat.polygons:
             svg.polygon([(xs(lon), ys(lat)) for lon, lat in poly], fill=fill,
                         stroke="#666666", stroke_width=0.7, **{"class": "mark"}, **attrs)
     if color is not None:
         _legend(svg, palette, sorted(palette))
     if region is not None:
-        svg.text(MARGIN_L + PLOT_W / 2, CELL_H - 8, region.field.name, font_size=10,
+        svg.text(MARGIN_L + PLOT_W / 2, CELL_H - 8, region.name, font_size=10,
                  fill=AXIS_COLOR, text_anchor="middle", font_family="sans-serif",
                  **{"class": "axis-label-x"})
 
 
 def _render_table(svg, spec, datasets, fields_by_key):
     dataset = datasets[spec.dataset_id]
-    key = _resolve(spec, "y", datasets, fields_by_key) or _resolve(spec, "x", datasets, fields_by_key)
+    key = _resolve(spec, "y", fields_by_key) or _resolve(spec, "x", fields_by_key)
     if dataset.dtype == TABULAR:
         columns = list(dataset.payload.columns)[:TABLE_MAX_COLS]
         rows = [[row[dataset.payload.columns.index(c)] for c in columns] for row in dataset.payload.rows]
@@ -538,12 +528,12 @@ def _render_table(svg, spec, datasets, fields_by_key):
         columns = list(dataset.associated.columns)[:TABLE_MAX_COLS]
         rows = [[row[dataset.associated.columns.index(c)] for c in columns] for row in dataset.associated.rows]
     else:
-        columns = [key.field.name if key else "value"]
-        rows = [[v] for v in (key.values if key else [])]
+        columns = [key.name if key else "value"]
+        rows = [[v] for v in (dataset.raw_columns[key.name] if key else [])]
 
     order = spec.annotations.get("domain_order")
-    if order and key is not None and key.field.name in columns:
-        key_idx = columns.index(key.field.name)
+    if order and key is not None and key.name in columns:
+        key_idx = columns.index(key.name)
         rank = {cat: i for i, cat in enumerate(order)}
         rows = sorted(rows, key=lambda r: rank.get(r[key_idx].strip(), len(rank)))
     rows = rows[:TABLE_MAX_ROWS]

@@ -32,7 +32,7 @@ from pathlib import Path
 from .chartspec import Binding, ChartSpec
 from .entitygraph import EntityGraph, NodeKey
 from .errors import ConfigError, MultipleImmutable
-from .ingest import Dataset, Field, extent, field_raw_values, numeric_values
+from .ingest import Dataset, Field, extent, present
 
 IMMUTABLE_CHART_TYPES = frozenset({"phylogenetic tree", "geographic map", "image"})
 
@@ -297,17 +297,15 @@ def _shared_domain(
     lead's order (tree leaf order, else its sorted categories), then the
     other members' remaining categories, sorted."""
     lead_field = fields[lead.id]
-    present = [f for f in fields.values() if f is not None]
+    members = [f for f in fields.values() if f is not None]
     if numeric:
-        values = [v for f in present if f.numeric
-                  for v in numeric_values(field_raw_values(f, datasets[f.source_id]))]
-        return list(extent(values))
+        return list(extent([v for f in members if f.numeric for v in present(f.column)]))
     if lead.chart_type == "phylogenetic tree":
         domain = [label.strip() for label in datasets[lead.dataset_id].payload.leaf_labels()]
     else:
         domain = sorted(lead_field.values) if lead_field is not None and lead_field.values else []
     seen = set(domain)
-    return domain + sorted({v for f in present if f.values for v in f.values} - seen)
+    return domain + sorted({v for f in members if f.values for v in f.values} - seen)
 
 
 def bind_alignment(specs: list[ChartSpec], plan: CombinationPlan) -> list[ChartSpec]:

@@ -7,7 +7,7 @@ Each payload exposes its raw values as one ordered name -> column mapping
 (`raw_columns`); every dataset yields one Field per such column (table
 column, tip label, sequence id, feature property, node id, or sidecar
 column) carrying kind and cardinality metadata used for linkage and slot
-assignment downstream, and charts read bound values from the same mapping.
+assignment downstream, and its cleaned column, which charts read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import AllMissing, ConfigError, DataMismatch, DuplicateDatasetId, KeyMismatch, ParseError
+from .errors import AllMissing, ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
 
 MISSING_MARKERS = {"", "na", "nan", "null"}
 
@@ -43,25 +43,9 @@ DATA_TYPES = (TABULAR, TREE, GENOMIC, SPATIAL, NETWORK, IMAGE)
 _ASSOCIATED_OK = {TREE, GENOMIC, IMAGE}
 
 
-def is_missing(value: str) -> bool:
-    return value.strip().lower() in MISSING_MARKERS
-
-
-def looks_numeric(value: str) -> bool:
-    return bool(_NUMBER_RE.match(value.strip()))
-
-
-def numeric_values(raw: list[str]) -> list[float]:
-    """The values of `raw` that parse as numbers; missing markers are skipped."""
-    out = []
-    for v in raw:
-        if is_missing(v):
-            continue
-        try:
-            out.append(float(v))
-        except ValueError:
-            pass
-    return out
+def present(column) -> list:
+    """The entries of a field column that are not missing, in row order."""
+    return [v for v in column if v is not None]
 
 
 def extent(values: list[float]) -> tuple[float, float]:
@@ -210,6 +194,9 @@ class Field:
     cardinality: int | None
     values: frozenset | None
     row_count: int
+    # One entry per row, in payload order: None for a missing marker, else the
+    # stripped cell, parsed to a float in a numeric field.
+    column: tuple = dc_field(default=(), compare=False, repr=False)
 
     @property
     def qualified_name(self) -> str:
@@ -244,34 +231,34 @@ class FieldMetadata:
 def classify_field(raw_values: list[str]) -> tuple[str, int | None]:
     """Classify a column as numeric or non-numeric with a distinct-value count.
 
-    Numeric requires every non-missing value to parse as a decimal number.
+    Numeric requires every non-missing value to parse as a finite decimal
+    number, with a finite range (see `_make_field`).
     """
-    present = [v.strip() for v in raw_values if not is_missing(v)]
-    if not present:
+    field = _make_field("", "", raw_values)
+    if field is None:
         raise AllMissing("every value is a missing marker")
-    if all(looks_numeric(v) for v in present):
-        return "numeric", None
-    return "non-numeric", len(set(present))
+    return field.kind, field.cardinality
 
 
 def _make_field(name: str, source_id: str, raw_values: list[str]) -> Field | None:
-    """Build a Field, or None when the column is entirely missing."""
-    try:
-        kind, cardinality = classify_field(raw_values)
-    except AllMissing:
+    """Build a Field, or None when the column is entirely missing.
+
+    Each cell is stripped and tested for a missing marker once. The field is
+    numeric when every present cell is a decimal number, the numbers are
+    finite and so is their range; an overflowing cell such as `1e999` makes
+    the field non-numeric.
+    """
+    column = [None if (v := raw.strip()).lower() in MISSING_MARKERS else v for raw in raw_values]
+    cells = present(column)
+    if not cells:
         return None
-    if kind == "numeric":
-        return Field(name, source_id, kind, None, None, len(raw_values))
-    values = frozenset(v.strip() for v in raw_values if not is_missing(v))
-    return Field(name, source_id, kind, cardinality, values, len(raw_values))
-
-
-def field_raw_values(field: Field, dataset: Dataset) -> list[str]:
-    """Raw per-observation values for a field, in payload order (shared; do not mutate)."""
-    values = dataset.raw_columns.get(field.name)
-    if values is None:
-        raise DataMismatch(f"field {field.qualified_name} not present in dataset {dataset.id}")
-    return values
+    if all(_NUMBER_RE.match(v) for v in cells):
+        parsed = [None if v is None else float(v) for v in column]
+        numbers = present(parsed)
+        if math.isfinite(max(numbers) - min(numbers)):
+            return Field(name, source_id, "numeric", None, None, len(column), tuple(parsed))
+    values = frozenset(cells)
+    return Field(name, source_id, "non-numeric", len(values), values, len(column), tuple(column))
 
 
 # ---------------------------------------------------------------------------

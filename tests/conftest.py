@@ -1,14 +1,23 @@
 """Shared fixtures: on-disk dataset collections at three scales, a config
-writer, and a summary hook that prints one line per acceptance criterion."""
+writer, and a summary hook that prints one line per acceptance criterion.
+
+Set HYPOTHESIS_PROFILE=ci for reproducible property tests: examples come from
+a fixed seed, no example has a deadline, and a failure prints the blob that
+replays it."""
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -1,9 +1,17 @@
+import csv
+import io
 import json
+import re
 import runpy
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from datetime import date
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reconviz
 from reconviz import pipeline
@@ -254,7 +262,126 @@ MALFORMED_INPUTS = {
 }
 
 
+def _table(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _sample_table(values) -> bytes:
+    return _table([["sample_id", "v", "grp"]]
+                  + [[f"s{i}", v, f"g{i % 3}"] for i, v in enumerate(values)])
+
+
+def _zones(values) -> bytes:
+    ring = [[0, 0], [1, 0], [1, 1], [0, 0]]
+    return _geojson([{"type": "Feature", "properties": {"zone": f"z{i}", "v": v},
+                      "geometry": {"type": "Polygon", "coordinates": [ring]}}
+                     for i, v in enumerate(values)])
+
+
+# id -> (dtype, file name, file bytes): numbers at the edges of the float range.
+EXTREME_NUMBERS = {
+    # `1e999` reads as inf, and the range of +-1e308 overflows: both made the
+    # heatmap's binning raise on NaN, so the column is non-numeric
+    "csv_overflowing_cell": ("tabular", "t.csv", _sample_table([*range(1, 15), "1e999"])),
+    "csv_overflowing_range": ("tabular", "t.csv", _sample_table([*range(1, 14), "1e308", "-1e308"])),
+    # a finite range near the float maximum overflowed in the tick and bin edges
+    "csv_range_near_float_max": ("tabular", "t.csv", _sample_table([*range(1, 15), "1e308"])),
+    # lo + 1 == lo left a one-value domain of width 0
+    "csv_constant_huge_column": ("tabular", "t.csv", _sample_table(["1e300"] * 15)),
+    "csv_constant_column_past_2_53": ("tabular", "t.csv", _sample_table(["1e17"] * 15)),
+    "geojson_overflowing_range": ("spatial", "z.geojson", _zones([1e308, -1e308, 5, 7])),
+}
+
+_NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
+
+
+def assert_finite_svg(text: str) -> None:
+    """No attribute and no drawn label spells a non-finite number; table
+    cells, which show input cells verbatim, are left out."""
+    for el in ET.fromstring(text).iter():
+        for name, value in el.attrib.items():
+            assert not _NON_FINITE.search(value), (el.tag, name, value)
+        if el.get("class") != "cell":
+            assert not _NON_FINITE.search(el.text or ""), (el.tag, el.text)
+
+
+def render_every_view(cfg) -> int:
+    """Run `specs`, then `render --view k` for k = 1 .. views + 1; every SVG
+    written must be finite. Returns the view count."""
+    out = Path(json.loads(Path(cfg).read_text())["out_dir"])
+    code = run(["specs", "--config", cfg])
+    assert code in (0, 2, 3)
+    if code != 0:
+        return 0
+    total = len(json.loads((out / "specs.json").read_text()))
+    for k in range(1, total + 2):
+        code = run(["render", "--config", cfg, "--view", k])
+        assert code == (0 if k <= total else 3)
+        if code == 0:
+            assert_finite_svg((out / f"view_{k:03d}.svg").read_text())
+    return total
+
+
+def _padded(cells):
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    return st.tuples(pad, cells, pad).map("".join)
+
+
+# Cells of the kinds a loose table holds: numbers of every size, including
+# ones that overflow a float; missing markers in any case; ISO dates with and
+# without a time; categories; all with optional padding.
+_NUMBER_CELLS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "1e999", "-1e999",
+                     "5e-324", "-1e-320", "1e-400", "1e17", "0"]),
+)
+_MISSING_CELLS = st.sampled_from(["", "na", "nan", "null"]).flatmap(
+    lambda marker: st.tuples(*[st.sampled_from([c.lower(), c.upper()]) for c in marker]).map("".join))
+_DATE_CELLS = st.tuples(
+    st.dates(date(2014, 1, 1), date(2014, 12, 31)).map(date.isoformat),
+    st.sampled_from(["", "T08:30", " 23:59:59"]),
+).map("".join)
+_CATEGORY_CELLS = st.sampled_from(["g0", "g1", "g2", "g3"])
+
+
+@st.composite
+def loose_tables(draw, ids):
+    """CSV bytes: a padded `sample_id` column over `ids`, then one to three
+    columns, each mostly of one cell kind and sprinkled with missing markers."""
+    rows = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=16, unique=True))
+    kinds = draw(st.lists(st.sampled_from([_NUMBER_CELLS, _DATE_CELLS, _CATEGORY_CELLS]),
+                          min_size=1, max_size=3))
+    columns = [[draw(_padded(st.one_of(kind, kind, _MISSING_CELLS))) for _ in rows]
+               for kind in kinds]
+    header = ["sample_id"] + [f"c{j}" for j in range(len(kinds))]
+    return _table([header] + [[draw(_padded(st.just(sid)))] + [col[i] for col in columns]
+                              for i, sid in enumerate(rows)])
+
+
+class TestCellProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(loose_tables([f"s{i}" for i in range(16)]), min_size=1, max_size=2))
+    def test_loose_tables_exit_cleanly_with_finite_views(self, tables):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            manifest = []
+            for i, content in enumerate(tables):
+                (root / f"t{i}.csv").write_bytes(content)
+                manifest.append({"id": f"t{i}", "path": str(root / f"t{i}.csv"), "dtype": "tabular"})
+            render_every_view(write_config(root, manifest))
+
+
 class TestRobustness:
+    @pytest.mark.parametrize("case", sorted(EXTREME_NUMBERS))
+    def test_extreme_numbers_render_finite_views(self, tmp_path, case):
+        dtype, name, content = EXTREME_NUMBERS[case]
+        (tmp_path / name).write_bytes(content)
+        cfg = write_config(tmp_path, [{"id": "x", "path": str(tmp_path / name), "dtype": dtype}])
+        assert render_every_view(cfg) >= 1
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_malformed_input_exits_two_and_names_file(self, tmp_path, capsys, case):
         dtype, name, content = MALFORMED_INPUTS[case]

@@ -9,14 +9,14 @@ from hypothesis import given, strategies as st
 from reconviz.entitygraph import build_entity_graph, spoke_key
 from reconviz.errors import AllMissing, ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
 from reconviz.ingest import (
+    MISSING_MARKERS,
     Dataset,
     Table,
     classify_field,
     explode_fields,
-    field_raw_values,
-    is_missing,
     load_dataset,
     parse_newick,
+    present,
 )
 
 from conftest import SAMPLE_IDS, SYNTH_LEAF_ORDER, synthetic_manifest
@@ -64,6 +64,13 @@ class TestClassifyField:
 
     def test_missing_values_ignored_for_numeric(self):
         assert classify_field(["1", "NA", "2.5"]) == ("numeric", None)
+
+    @pytest.mark.parametrize("extra", [["1e999"], ["-1e999"], ["1e308", "-1e308"]])
+    def test_non_finite_number_or_range_makes_non_numeric(self, extra):
+        assert classify_field(["1", "2", *extra]) == ("non-numeric", 2 + len(extra))
+
+    def test_finite_range_near_float_max_stays_numeric(self):
+        assert classify_field([" -1 ", "1.7976931348623157e308"]) == ("numeric", None)
 
     @given(st.lists(st.sampled_from(["1", "2.5", "abc", "x y", "-3e2"]), min_size=1))
     def test_order_and_duplication_invariant(self, values):
@@ -361,10 +368,10 @@ class TestColumnAccess:
             assert len(matches) == 1
             assert matches[0].values == values
             assert graph.fields[spoke_key(matches[0])].values == values
-            assert set(field_raw_values(matches[0], by_id[source])) == values
+            assert set(matches[0].column) == values
 
     def test_raw_values_agree_with_exploded_fields(self, synthetic_dir, fig1_manifest, tmp_path):
-        (tmp_path / "net.csv").write_text("source,target,kind\nn1,n2,contact\nn2,n3,NA\n")
+        (tmp_path / "net.csv").write_text("source,target,kind,w\nn1,n2,contact, 2\nn2,n3,NA,nan\n")
         network = load_dataset(tmp_path / "net.csv", "network")
         dtypes = set()
         # the two fixtures reuse dataset ids, so each is exploded on its own
@@ -372,9 +379,16 @@ class TestColumnAccess:
             by_id = {d.id: d for d in group}
             fields, _ = explode_fields(group)
             for field in fields:
-                raw = field_raw_values(field, by_id[field.source_id])
-                assert len(raw) == field.row_count
+                raw = by_id[field.source_id].raw_columns[field.name]
+                assert len(field.column) == len(raw) == field.row_count
+                for cell, entry in zip(raw, field.column):
+                    if cell.strip().lower() in MISSING_MARKERS:
+                        assert entry is None
+                    elif field.numeric:
+                        assert entry == float(cell)
+                    else:
+                        assert entry == cell.strip()
                 if not field.numeric:
-                    assert {v.strip() for v in raw if not is_missing(v)} == field.values
-            dtypes |= {d.dtype for d in group}
+                    assert set(present(field.column)) == field.values
+            dtypes |= {by_id[f.source_id].dtype for f in fields}
         assert dtypes == {"tabular", "tree", "genomic", "spatial", "network", "image"}

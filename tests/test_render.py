@@ -220,6 +220,14 @@ class TestChartFragments:
             counts[min(9, int((a - lo) / (hi - lo) * 10))] += 1
         assert len(rects) == sum(1 for c in counts if c > 0)
 
+    def test_histogram_of_a_non_numeric_field_draws_no_bars(self, synthetic_dir):
+        """A custom template may bind an id column to a histogram's x; it has
+        no numbers to bin."""
+        datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
+        fields, _ = explode_fields(list(datasets.values()))
+        hist = simple_spec("samples:histogram", "histogram", "samples", x="samples.sample_id")
+        assert marks(render_chart(hist, datasets, fields), "rect") == []
+
     def test_node_link_renders_nodes_and_edges(self, tmp_path):
         (tmp_path / "net.csv").write_text(
             "source,target\nn1,n2\nn2,n3\nn3,n4\nn1,n4\n"
@@ -289,6 +297,28 @@ class TestChartFragments:
                            y="t.tip_label", color="t.zone")
         leaves = marks(render_chart(spec, {"t": tree}, fields), "circle")
         assert [c.get("data-category") for c in leaves] == ["X", "Y", "X"]
+
+    def test_missing_marker_row_draws_no_mark_on_aligned_axes(
+            self, tmp_path, relevance_table, encoding_map, templates, viability):
+        """A tree leaf named `NA` stamps `NA` into the shared domain, but the
+        table row keyed `NA` is missing: neither the aligned scatter nor the
+        aligned heatmap draws it."""
+        labels = [f"s{i}" for i in range(15)] + ["NA"]
+        (tmp_path / "tree.nwk").write_text(
+            "(" + ",".join(f"{label}:0.1" for label in labels) + ");\n")
+        (tmp_path / "t.csv").write_text("sample_id,v,grp\n" + "".join(
+            f"{label},{i * 3 % 7},g{i % 3}\n" for i, label in enumerate(labels)))
+        datasets = [load_dataset(tmp_path / "tree.nwk", "tree", dataset_id="tree"),
+                    load_dataset(tmp_path / "t.csv", "tabular", dataset_id="t")]
+        asm = assemble(datasets, relevance_table, encoding_map, templates, viability)
+        top = asm.views[0]
+        group = top.plan.spatial
+        assert "NA" in group.domain
+        specs = {s.id: s for s in top.specs}
+        scatter, heatmap = specs["t:scatter chart"], specs["t:heatmap"]
+        assert {scatter.id, heatmap.id} <= set(group.member_ids)
+        assert len(marks(render_chart(scatter, asm.datasets, asm.fields), "circle")) == 15
+        assert len(marks(render_chart(heatmap, asm.datasets, asm.fields), "rect")) == 15
 
 
 class TestArrangeGrid:
