@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 from datetime import date
+from pathlib import Path
 
 from .chartspec import Binding, ChartSpec
 from .combine import build_palette
@@ -71,6 +72,16 @@ def _iso_day(value: str) -> str | None:
         return None
 
 
+def _number_labels(values: list[float]) -> list[str]:
+    """Labels for the numbers along one axis: `fmt`'s short fixed-point form
+    while every label is at most 10 characters and no two print alike, else 4
+    significant digits (`1e+300`, `0.00156`)."""
+    labels = [fmt(v) for v in values]
+    if all(len(text) <= 10 for text in labels) and len(set(labels)) == len(labels):
+        return labels
+    return [f"{v:.4g}" for v in values]
+
+
 def _lerp(lo: float, span: float, i: int, n: int) -> float:
     """lo + span * i / n, without overflow for a span near the float maximum.
     Scaling by 1/16 and back is exact while span / 16 is a normal float, so
@@ -97,19 +108,24 @@ class LinearScale:
     def tick_marks(self, max_labels: int) -> list[tuple[float, str | None]]:
         """Five evenly spaced ticks, always labeled."""
         values = [_lerp(self.lo, self.hi - self.lo, i, 4) for i in range(5)]
-        return [(self(v), fmt(v)) for v in values]
+        return [(self(v), label) for v, label in zip(values, _number_labels(values))]
 
 
 class BandScale:
-    def __init__(self, domain: list[str], out_lo: float, out_hi: float):
+    """One band per key in `domain`; a band's tick shows its entry in
+    `labels`, or the key itself when no labels are given."""
+
+    def __init__(self, domain: list, out_lo: float, out_hi: float,
+                 labels: list[str] | None = None):
         self.domain = list(domain)
+        self.labels = dict(zip(self.domain, self.domain if labels is None else labels))
         self.out_lo, self.out_hi = out_lo, out_hi
         self.step = (out_hi - out_lo) / max(1, len(self.domain))
         self.index = {cat: i for i, cat in enumerate(self.domain)}
 
-    def position(self, raw: str) -> float | None:
-        """Center of the category's band, or None for a category outside the domain."""
-        i = self.index.get(raw)
+    def position(self, key) -> float | None:
+        """Center of the key's band, or None for a key outside the domain."""
+        i = self.index.get(key)
         if i is None:
             return None
         return self.out_lo + self.step * (i + 0.5)
@@ -117,7 +133,8 @@ class BandScale:
     def tick_marks(self, max_labels: int) -> list[tuple[float, str | None]]:
         """One tick per category; labels only when at most `max_labels` categories."""
         show = len(self.domain) <= max_labels
-        return [(self.position(cat), _clip(cat, 9) if show else None) for cat in self.domain]
+        return [(self.position(key), _clip(self.labels[key], 9) if show else None)
+                for key in self.domain]
 
 
 def _palette_for(spec: ChartSpec, color: Field | None) -> dict[str, str]:
@@ -189,12 +206,15 @@ def _axis_numeric_domain(spec: ChartSpec, channel: str, values: list[float]) -> 
     return extent(values)
 
 
+def _plot_range(channel: str) -> tuple[float, float]:
+    if channel == "x":
+        return MARGIN_L, MARGIN_L + PLOT_W
+    return MARGIN_T, MARGIN_T + PLOT_H
+
+
 def _scale_for(spec: ChartSpec, channel: str, field: Field):
     """Numeric fields get a linear scale, non-numeric a band scale."""
-    if channel == "x":
-        out_lo, out_hi = MARGIN_L, MARGIN_L + PLOT_W
-    else:
-        out_lo, out_hi = MARGIN_T, MARGIN_T + PLOT_H
+    out_lo, out_hi = _plot_range(channel)
     if field.numeric:
         lo, hi = _axis_numeric_domain(spec, channel, present(field.column))
         return LinearScale(lo, hi, out_lo, out_hi)
@@ -341,40 +361,36 @@ def _render_line(svg, spec, datasets, fields_by_key):
     _axis_label(svg, spec, "y")
 
 
-def _bin_labels(field: Field, spec: ChartSpec, channel: str) -> tuple[list, list[str]]:
-    """Per-row bin labels (None for a missing value) plus the ordered bin
-    domain for a heatmap axis.
+def _heatmap_axis(field: Field, spec: ChartSpec, channel: str) -> tuple[BandScale, list]:
+    """The band scale of a heatmap axis and each row's band key (None for a
+    missing value).
 
     ISO dates bin by day; other non-numeric values bin by category; numeric
-    values split into 5 equal bins labeled by range.
+    values split into 5 equal bins keyed by index and labeled by range.
     """
     column = field.column
+    out_lo, out_hi = _plot_range(channel)
     if spec.annotations.get("shared_axis") == channel and spec.annotations.get("domain_order"):
-        return column, list(spec.annotations["domain_order"])
+        return BandScale(spec.annotations["domain_order"], out_lo, out_hi), column
     if not field.numeric:
         days = {v: _iso_day(v) for v in present(column)}
         if days and None not in days.values():
-            labels = [None if v is None else days[v] for v in column]
-            return labels, sorted(set(days.values()))
-        return column, sorted(field.values)
+            keys = [None if v is None else days[v] for v in column]
+            return BandScale(sorted(set(days.values())), out_lo, out_hi), keys
+        return BandScale(sorted(field.values), out_lo, out_hi), column
     lo, hi = extent(present(column))
     span = (hi - lo) or 1.0
-    edges = [_lerp(lo, span, i, 5) for i in range(6)]
-    domain = [f"{fmt(edges[i])}–{fmt(edges[i + 1])}" for i in range(5)]
-    labels = [None if v is None else domain[min(4, max(0, int((v - lo) / span * 5)))]
-              for v in column]
-    return labels, domain
+    edges = _number_labels([_lerp(lo, span, i, 5) for i in range(6)])
+    labels = [f"{edges[i]}–{edges[i + 1]}" for i in range(5)]
+    keys = [None if v is None else min(4, max(0, int((v - lo) / span * 5))) for v in column]
+    return BandScale(range(5), out_lo, out_hi, labels), keys
 
 
 def _render_heatmap(svg, spec, datasets, fields_by_key):
-    x = _resolve(spec, "x", fields_by_key)
-    y = _resolve(spec, "y", fields_by_key)
-    x_labels, x_domain = _bin_labels(x, spec, "x")
-    y_labels, y_domain = _bin_labels(y, spec, "y")
-    xs = BandScale(x_domain, MARGIN_L, MARGIN_L + PLOT_W)
-    ys = BandScale(y_domain, MARGIN_T, MARGIN_T + PLOT_H)
-    counts: dict[tuple[str, str], int] = {}
-    for cx, cy in zip(x_labels, y_labels):
+    xs, x_keys = _heatmap_axis(_resolve(spec, "x", fields_by_key), spec, "x")
+    ys, y_keys = _heatmap_axis(_resolve(spec, "y", fields_by_key), spec, "y")
+    counts: dict[tuple, int] = {}
+    for cx, cy in zip(x_keys, y_keys):
         if cx not in xs.index or cy not in ys.index:
             continue
         counts[(cx, cy)] = counts.get((cx, cy), 0) + 1
@@ -382,7 +398,9 @@ def _render_heatmap(svg, spec, datasets, fields_by_key):
     _axes(svg)
     _ticks(svg, xs, "x", max_labels=12)
     _ticks(svg, ys, "y", max_labels=30)
-    for (cx, cy), count in sorted(counts.items()):
+    # cells are drawn in the order of their labels, then of their keys
+    cells = sorted(counts.items(), key=lambda c: (xs.labels[c[0][0]], ys.labels[c[0][1]], c[0]))
+    for (cx, cy), count in cells:
         px, py = xs.position(cx), ys.position(cy)
         ramp_idx = min(4, (5 * count - 1) // top)
         svg.rect(px - xs.step / 2, py - ys.step / 2, xs.step, ys.step,
@@ -578,7 +596,7 @@ def _render_alignment(svg, spec, datasets, fields_by_key):
 
 def _render_image(svg, spec, datasets, fields_by_key):
     dataset = datasets[spec.dataset_id]
-    data = base64.standard_b64encode(open(dataset.payload.path, "rb").read()).decode("ascii")
+    data = base64.standard_b64encode(Path(dataset.payload.path).read_bytes()).decode("ascii")
     svg.image(MARGIN_L, MARGIN_T, PLOT_W, PLOT_H - 20, f"data:image/png;base64,{data}",
               preserveAspectRatio="none")
     lanes = dataset.primary_ids()
@@ -636,7 +654,7 @@ def render_chart(spec: ChartSpec, datasets: dict[str, Dataset], fields: list[Fie
         raise UnsupportedChartType(spec.chart_type)
     if spec.dataset_id not in datasets:
         raise DataMismatch(f"{spec.id}: dataset {spec.dataset_id} not loaded")
-    if not spec.complete:
+    if not all(ch in spec.bindings for ch in spec.required_channels):
         raise DataMismatch(f"{spec.id}: spec is incomplete")
     fields_by_key = {(f.source_id, f.name): f for f in fields}
     svg = SvgBuilder(CELL_W, CELL_H)

@@ -144,7 +144,6 @@ class ChartSpec:
     relevance: float
     bindings: dict[str, Binding]
     required_channels: tuple[str, ...]
-    complete: bool
     annotations: dict = dc_field(default_factory=dict)
     # Whether x and y are both bound and each field would still pass the
     # template's slot on the other channel; decided when the spec is
@@ -166,7 +165,7 @@ class ChartSpec:
                 for ch, b in sorted(self.bindings.items())
             },
             "required_channels": list(self.required_channels),
-            "complete": self.complete,
+            "complete": True,  # only specs with every required slot bound exist
             "annotations": self.annotations,
         }
 
@@ -273,7 +272,6 @@ def _fill_template(
         relevance=relevance,
         bindings=bindings,
         required_channels=required,
-        complete=all(ch in bindings for ch in required),
         swappable=swappable,
     )
 
@@ -302,7 +300,7 @@ def generate_single_chart_specs(
                 color_card_limit,
                 highcard_threshold,
             )
-            if spec is not None and spec.complete:
+            if spec is not None:
                 specs.append(spec)
     specs.sort(key=lambda s: (-s.relevance, s.chart_type, s.dataset_id))
     return specs

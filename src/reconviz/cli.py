@@ -45,10 +45,13 @@ def _build_parser() -> Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: Parser) -> None:
+        # each override's dest is its RunConfig field; one not given is left
+        # out of the namespace, so the file's value stands
         p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", type=Path, dest="out_dir",
+                       help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="PRNG seed (overrides config)")
-        p.add_argument("--user-field", action="append", default=None, metavar="NAME",
+        p.add_argument("--user-field", action="append", dest="user_fields", metavar="NAME",
                        help="field to prioritize; repeatable")
         p.add_argument("--max-charts", type=int, help="charts per view")
         p.add_argument("--min-jaccard", type=float, help="linkage threshold")
@@ -61,26 +64,11 @@ def _build_parser() -> Parser:
         ("render", "render one ranked view to SVG"),
         ("relevance", "export the scaled relevance table"),
     ):
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         common(p)
         if name == "render":
             p.add_argument("--view", type=int, default=1, help="1-based view index")
     return parser
-
-
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> None:
-    if args.out is not None:
-        config.out_dir = Path(args.out)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.user_field is not None:
-        config.user_fields = list(args.user_field)
-    if args.max_charts is not None:
-        config.max_charts = args.max_charts
-    if args.min_jaccard is not None:
-        config.min_jaccard = args.min_jaccard
-    if args.decay is not None:
-        config.decay = args.decay
 
 
 def _write(path: Path, content: str) -> None:
@@ -124,21 +112,7 @@ def _assemble(config: RunConfig, view_limit: int | None = None):
     templates = load_templates(config.templates)
     validate_templates(templates, table)
     matrix = ViabilityMatrix.from_csv(config.viability_matrix)
-    assembly = assemble(
-        datasets,
-        table,
-        encoding_map,
-        templates,
-        matrix,
-        user_fields=config.user_fields,
-        min_jaccard=config.min_jaccard,
-        color_card_limit=config.color_card_limit,
-        highcard_threshold=config.highcard_threshold,
-        max_charts=config.max_charts,
-        max_views_per_component=config.max_views_per_component,
-        seed=config.seed,
-        view_limit=view_limit,
-    )
+    assembly = assemble(datasets, table, encoding_map, templates, matrix, config, view_limit)
     _warn_fieldless_datasets(datasets, assembly.fields)
     _warn_unknown_user_fields(config, assembly.fields)
     return assembly
@@ -202,25 +176,19 @@ def cmd_relevance(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        overrides = vars(parser.parse_args(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    command = overrides.pop("command")
+    config_path = overrides.pop("config")
+    view = overrides.pop("view", None)
     try:
-        config = load_config(args.config)
-        _apply_overrides(config, args)
-        config.validate()
-        if args.command == "link":
-            return cmd_link(config)
-        if args.command == "graph":
-            return cmd_graph(config)
-        if args.command == "specs":
-            return cmd_specs(config)
-        if args.command == "render":
-            return cmd_render(config, args.view)
-        if args.command == "relevance":
-            return cmd_relevance(config)
-        raise UsageError(f"unknown command {args.command!r}")
+        config = load_config(config_path, **overrides)
+        if command == "render":
+            return cmd_render(config, view)
+        return {"link": cmd_link, "graph": cmd_graph, "specs": cmd_specs,
+                "relevance": cmd_relevance}[command](config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

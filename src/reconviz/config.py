@@ -1,15 +1,20 @@
-"""Run configuration: dataset manifest plus every tunable, loaded from one
-JSON file with flag overrides. Relative paths resolve against the config
-file's directory; unset resource paths fall back to the shipped assets.
+"""Run configuration: dataset manifest plus every tunable, built once from
+one JSON file and the command-line flags, which win over the file. A
+`RunConfig` is frozen and validated when it is built. Relative paths resolve
+against the config file's directory; unset resource paths fall back to the
+shipped assets.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
+from .chartspec import DEFAULT_COLOR_CARD_LIMIT, DEFAULT_HIGHCARD_THRESHOLD
+from .designspace import DEFAULT_DECAY
+from .entitygraph import DEFAULT_MIN_JACCARD
 from .errors import ConfigError
 from .ingest import DATA_TYPES, Dataset, load_dataset
 
@@ -20,8 +25,28 @@ DEFAULT_ENCODING_MAP = ASSETS_DIR / "type_encodings.json"
 DEFAULT_VIABILITY = ASSETS_DIR / "viability_matrix.csv"
 DEFAULT_TEMPLATES = ASSETS_DIR / "chart_templates.json"
 
+# config-file key -> RunConfig field
+CONFIG_KEYS = {
+    "design_space": "design_space",
+    "type_encodings": "type_encodings",
+    "viability_matrix": "viability_matrix",
+    "templates": "templates",
+    "out_dir": "out_dir",
+    "user_fields": "user_fields",
+    "min_jaccard": "min_jaccard",
+    "lambda": "decay",
+    "highcard_threshold": "highcard_threshold",
+    "color_card_limit": "color_card_limit",
+    "max_charts": "max_charts",
+    "max_views_per_component": "max_views_per_component",
+    "seed": "seed",
+}
+# data files the pipeline reads; they and out_dir resolve against the config
+# file's directory
+ASSET_FIELDS = ("design_space", "type_encodings", "viability_matrix", "templates")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ManifestEntry:
     id: str
     path: Path
@@ -29,22 +54,25 @@ class ManifestEntry:
     associated: Path | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    datasets: list[ManifestEntry] = dc_field(default_factory=list)
+    datasets: tuple[ManifestEntry, ...] = ()
     design_space: Path = DEFAULT_DESIGN_SPACE
     type_encodings: Path = DEFAULT_ENCODING_MAP
     viability_matrix: Path = DEFAULT_VIABILITY
     templates: Path = DEFAULT_TEMPLATES
-    user_fields: list[str] = dc_field(default_factory=list)
-    min_jaccard: float = 0.0
-    decay: float = 0.9
-    highcard_threshold: int = 12
-    color_card_limit: int = 12
+    user_fields: tuple[str, ...] = ()
+    min_jaccard: float = DEFAULT_MIN_JACCARD
+    decay: float = DEFAULT_DECAY
+    highcard_threshold: int = DEFAULT_HIGHCARD_THRESHOLD
+    color_card_limit: int = DEFAULT_COLOR_CARD_LIMIT
     max_charts: int = 5
     max_views_per_component: int = 10
     seed: int = 0
     out_dir: Path = Path("out")
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         # an empty manifest is legal: it yields an empty graph and no views
@@ -55,24 +83,17 @@ class RunConfig:
                 raise ConfigError(f"dataset {entry.id!r}: file not found: {entry.path}")
             if entry.associated is not None and not entry.associated.exists():
                 raise ConfigError(f"dataset {entry.id!r}: file not found: {entry.associated}")
-        for label, path in (
-            ("design_space", self.design_space),
-            ("type_encodings", self.type_encodings),
-            ("viability_matrix", self.viability_matrix),
-            ("templates", self.templates),
-        ):
+        for label in ASSET_FIELDS:
+            path = getattr(self, label)
             if not Path(path).exists():
                 raise ConfigError(f"{label} file not found: {path}")
         if not (0 <= self.min_jaccard < 1):
             raise ConfigError(f"min_jaccard must be in [0, 1), got {self.min_jaccard}")
         if not (0 < self.decay <= 1):
             raise ConfigError(f"lambda must be in (0, 1], got {self.decay}")
-        for label, value in (
-            ("highcard_threshold", self.highcard_threshold),
-            ("color_card_limit", self.color_card_limit),
-            ("max_charts", self.max_charts),
-            ("max_views_per_component", self.max_views_per_component),
-        ):
+        for label in ("highcard_threshold", "color_card_limit", "max_charts",
+                      "max_views_per_component"):
+            value = getattr(self, label)
             if value < 1:
                 raise ConfigError(f"{label} must be >= 1, got {value}")
 
@@ -82,7 +103,7 @@ class RunConfig:
         ]
 
     def canonical(self) -> dict:
-        return {
+        doc = {
             "datasets": [
                 {
                     "id": e.id,
@@ -92,26 +113,24 @@ class RunConfig:
                 }
                 for e in self.datasets
             ],
-            "design_space": str(self.design_space),
-            "type_encodings": str(self.type_encodings),
-            "viability_matrix": str(self.viability_matrix),
-            "templates": str(self.templates),
-            "user_fields": list(self.user_fields),
-            "min_jaccard": self.min_jaccard,
-            "lambda": self.decay,
-            "highcard_threshold": self.highcard_threshold,
-            "color_card_limit": self.color_card_limit,
-            "max_charts": self.max_charts,
-            "max_views_per_component": self.max_views_per_component,
-            "seed": self.seed,
         }
+        for key, name in CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if name in ASSET_FIELDS:
+                doc[key] = str(value)
+            elif name != "out_dir":  # where the output goes is not hashed
+                doc[key] = list(value) if name == "user_fields" else value
+        return doc
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, **overrides) -> RunConfig:
+    """The run config in the JSON file at `path`, with `overrides` (RunConfig
+    field -> value, such as the flags given on the command line) winning over
+    the file's values."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -133,11 +152,10 @@ def load_config(path: str | Path) -> RunConfig:
     for i, item in enumerate(doc.get("datasets", [])):
         if "path" not in item or "dtype" not in item:
             raise ConfigError(f"dataset entry {i} needs path and dtype")
-        data_path = resolve(item["path"])
         entries.append(
             ManifestEntry(
                 id=item.get("id") or Path(item["path"]).stem,
-                path=data_path,
+                path=resolve(item["path"]),
                 dtype=item["dtype"],
                 associated=resolve(item.get("associated")),
             )
@@ -146,22 +164,10 @@ def load_config(path: str | Path) -> RunConfig:
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate dataset ids in manifest")
 
-    config = RunConfig(datasets=entries)
-    for key in ("design_space", "type_encodings", "viability_matrix", "templates"):
-        if doc.get(key) is not None:
-            setattr(config, key, resolve(doc[key]))
-    if doc.get("out_dir") is not None:
-        config.out_dir = resolve(doc["out_dir"])
-    config.user_fields = list(doc.get("user_fields", []))
-    for key, attr in (
-        ("min_jaccard", "min_jaccard"),
-        ("lambda", "decay"),
-        ("highcard_threshold", "highcard_threshold"),
-        ("color_card_limit", "color_card_limit"),
-        ("max_charts", "max_charts"),
-        ("max_views_per_component", "max_views_per_component"),
-        ("seed", "seed"),
-    ):
-        if doc.get(key) is not None:
-            setattr(config, attr, doc[key])
-    return config
+    paths = (*ASSET_FIELDS, "out_dir")
+    settings = {name: resolve(doc[key]) if name in paths else doc[key]
+                for key, name in CONFIG_KEYS.items() if doc.get(key) is not None}
+    settings.update(overrides)
+    if "user_fields" in settings:
+        settings["user_fields"] = tuple(settings["user_fields"])
+    return RunConfig(datasets=tuple(entries), **settings)

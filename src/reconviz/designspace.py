@@ -72,7 +72,6 @@ def raw_relevance(space: PrevalenceDesignSpace, decay: float = DEFAULT_DECAY) ->
 class RelevanceTable:
     raw: dict[str, float]
     scaled: dict[str, float]
-    decay: float
 
     def score(self, chart_type: str) -> float:
         return self.scaled[chart_type]
@@ -87,7 +86,7 @@ class RelevanceTable:
         return buf.getvalue()
 
 
-def scaled_relevance(raw: dict[str, float], decay: float = DEFAULT_DECAY) -> RelevanceTable:
+def scaled_relevance(raw: dict[str, float]) -> RelevanceTable:
     """Scale raw relevance to [1, 10] against the maximum chart type."""
     if not raw:
         raise EmptyDesignSpace("no raw relevance values")
@@ -97,11 +96,11 @@ def scaled_relevance(raw: dict[str, float], decay: float = DEFAULT_DECAY) -> Rel
     scaled = {
         chart: max(SCALE_FLOOR, (value / top) * SCALE_TOP) for chart, value in sorted(raw.items())
     }
-    return RelevanceTable(dict(sorted(raw.items())), scaled, decay)
+    return RelevanceTable(dict(sorted(raw.items())), scaled)
 
 
 def relevance_from_space(space: PrevalenceDesignSpace, decay: float = DEFAULT_DECAY) -> RelevanceTable:
-    return scaled_relevance(raw_relevance(space, decay), decay)
+    return scaled_relevance(raw_relevance(space, decay))
 
 
 @dataclass(frozen=True)

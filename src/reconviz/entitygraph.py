@@ -21,6 +21,8 @@ from .errors import EmptySet
 from .ingest import Field
 from .svg import SvgBuilder
 
+DEFAULT_MIN_JACCARD = 0.0
+
 HUB = "hub"
 SPOKE = "field"
 
@@ -152,7 +154,7 @@ class EntityGraph:
 
 
 def build_entity_graph(
-    fields: list[Field], min_jaccard: float = 0.0, dtypes: dict[str, str] | None = None
+    fields: list[Field], min_jaccard: float = DEFAULT_MIN_JACCARD, dtypes: dict[str, str] | None = None
 ) -> EntityGraph:
     """One hub per dataset, one spoke per field, and a linkage edge for every
     cross-dataset non-numeric pair with J > min_jaccard. `dtypes` maps a

@@ -20,6 +20,7 @@ from .chartspec import (
 )
 from .charts import render_chart
 from .combine import CombinationPlan, ViabilityMatrix, bind_alignment, build_plan
+from .config import RunConfig
 from .designspace import RelevanceTable, TypeEncodingMap
 from .entitygraph import EntityGraph, build_entity_graph
 from .ingest import Dataset, Field, explode_fields
@@ -27,8 +28,6 @@ from .layout import ViewLayout, arrange_grid, render_view
 from .ranking import RankedPath, rank_paths
 
 TOOL_VERSION = f"reconviz {__version__}"
-
-DEFAULT_MAX_VIEWS_PER_COMPONENT = 10
 
 _SEED_STRIDE = 1_000_003  # mixes (global seed, path rank) into one PRNG seed
 
@@ -63,7 +62,7 @@ class Assembly:
         return json.dumps([v.to_dict() for v in self.views], indent=2, sort_keys=True) + "\n"
 
 
-def build_graph(datasets: list[Dataset], min_jaccard: float = 0.0):
+def build_graph(datasets: list[Dataset], min_jaccard: float):
     fields, metadata = explode_fields(datasets)
     graph = build_entity_graph(fields, min_jaccard, {d.id: d.dtype for d in datasets})
     return fields, metadata, graph
@@ -75,18 +74,13 @@ def assemble(
     encoding_map: TypeEncodingMap,
     templates: list[ChartTemplate],
     matrix: ViabilityMatrix,
-    user_fields: list[str] | None = None,
-    min_jaccard: float = 0.0,
-    color_card_limit: int = 12,
-    highcard_threshold: int = 12,
-    max_charts: int = 5,
-    max_views_per_component: int = DEFAULT_MAX_VIEWS_PER_COMPONENT,
-    seed: int = 0,
+    config: RunConfig,
     view_limit: int | None = None,
 ) -> Assembly:
     """Rank the paths and build views in rank order: all of them, or only the
-    first `view_limit` when that is given and at least 1."""
-    fields, _, graph = build_graph(datasets, min_jaccard)
+    first `view_limit` when that is given and at least 1. The tunables come
+    from `config`; its file paths are not read here."""
+    fields, _, graph = build_graph(datasets, config.min_jaccard)
     encoding_map.validate_against(table)
     by_id = {d.id: d for d in datasets}
     dtypes = {d.id: d.dtype for d in datasets}
@@ -96,19 +90,21 @@ def assemble(
     emitted_per_component: dict[int, int] = {}
     for rank_position, rp in enumerate(ranked, start=1):
         component = rp.path.component_id
-        if emitted_per_component.get(component, 0) >= max_views_per_component:
+        if emitted_per_component.get(component, 0) >= config.max_views_per_component:
             continue
         hub_set = set(rp.path.hubs)
         path_datasets = [by_id[h] for h in rp.path.hubs]
         path_fields = [(f, graph.field_degree(f)) for f in fields if f.source_id in hub_set]
-        prioritized = prioritize_fields(path_fields, user_fields)
+        prioritized = prioritize_fields(path_fields, config.user_fields)
         specs = generate_single_chart_specs(
             path_datasets, prioritized, templates, table,
-            color_card_limit=color_card_limit, highcard_threshold=highcard_threshold,
-        )[:max_charts]
+            color_card_limit=config.color_card_limit,
+            highcard_threshold=config.highcard_threshold,
+        )[:config.max_charts]
         if not specs:
             continue
-        plan = build_plan(specs, matrix, graph, by_id, seed=seed * _SEED_STRIDE + rank_position)
+        plan = build_plan(specs, matrix, graph, by_id,
+                          seed=config.seed * _SEED_STRIDE + rank_position)
         final = bind_alignment(specs, plan)
         layout = arrange_grid(plan, final)
         emitted_per_component[component] = emitted_per_component.get(component, 0) + 1

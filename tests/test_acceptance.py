@@ -13,6 +13,7 @@ import pytest
 from reconviz.chartspec import EncodingSlot, assign_field_to_slot, slot_accepts
 from reconviz.cli import main
 from reconviz.combine import IMMUTABLE_CHART_TYPES, bind_alignment
+from reconviz.config import RunConfig
 from reconviz.entitygraph import (
     build_entity_graph,
     connected_components,
@@ -152,7 +153,7 @@ def test_c04_fig1_fixture_structure(fig1_manifest, relevance_table, encoding_map
 def test_c05_synthetic_scenario(synthetic_dir, relevance_table, encoding_map, templates,
                                 viability):
     asm = assemble(load_manifest(synthetic_manifest(synthetic_dir)), relevance_table,
-                   encoding_map, templates, viability, seed=11)
+                   encoding_map, templates, viability, RunConfig(seed=11))
 
     def satisfies(view):
         group = view.plan.spatial
@@ -225,7 +226,8 @@ def test_c06_alignment_invariants_fuzz(relevance_table, encoding_map, templates,
     rng = random.Random(616161)
     for trial in range(40):
         datasets = _random_collection(rng)
-        asm = assemble(datasets, relevance_table, encoding_map, templates, viability, seed=trial)
+        asm = assemble(datasets, relevance_table, encoding_map, templates, viability,
+                       RunConfig(seed=trial))
         for view in asm.views:
             group = view.plan.spatial
             if group is not None:
@@ -266,14 +268,15 @@ def test_c07_limits(relevance_table, encoding_map, templates, viability, synthet
                       tuple((sid, str(i + k)) for i, sid in enumerate(ids))))
         for k in range(5)
     ]
-    asm = assemble(datasets, relevance_table, encoding_map, templates, viability, seed=0)
+    asm = assemble(datasets, relevance_table, encoding_map, templates, viability, RunConfig(seed=0))
     assert len(asm.ranked) == 15
     assert len({r.path.component_id for r in asm.ranked}) == 1
     assert len(asm.views) == 10
 
     # a path with 6 viable charts emits exactly 5
     samples = load_dataset(synthetic_dir / "samples.csv", "tabular", dataset_id="samples")
-    solo = assemble([samples], relevance_table, encoding_map, templates, viability, seed=0)
+    solo = assemble([samples], relevance_table, encoding_map, templates, viability,
+                    RunConfig(seed=0))
     assert len(solo.views) == 1
     assert len(solo.views[0].specs) == 5
     dropped = {"histogram", "line chart"}  # the two lowest-relevance candidates

@@ -6,6 +6,7 @@ import runpy
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import FrozenInstanceError
 from datetime import date
 from pathlib import Path
 
@@ -14,13 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reconviz
-from reconviz import pipeline
+from reconviz import charts, pipeline
 from reconviz.cli import main
 from reconviz.chartspec import load_templates, slot_accepts
-from reconviz.config import ASSETS_DIR
+from reconviz.config import ASSETS_DIR, RunConfig
+from reconviz.errors import ConfigError
 from reconviz.ingest import explode_fields, load_dataset
 
 from conftest import synthetic_manifest, write_config
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def run(args):
@@ -382,6 +386,52 @@ class TestRobustness:
         cfg = write_config(tmp_path, [{"id": "x", "path": str(tmp_path / name), "dtype": dtype}])
         assert render_every_view(cfg) >= 1
 
+    # values a fifth of their range apart that print alike at two decimals,
+    # and a constant too large to print in fixed point
+    NARROW_RANGE = [0.0010 + 0.0002 * i for i in range(15)]
+    CONSTANT_HUGE = ["1e300"] * 15
+
+    @staticmethod
+    def charts_of_every_view(tmp_path, values) -> dict[str, list[ET.Element]]:
+        """Chart type -> its cell group in each rendered view of one table
+        `sample_id,v,grp`."""
+        (tmp_path / "t.csv").write_bytes(_sample_table(values))
+        cfg = write_config(tmp_path, [{"id": "t", "path": str(tmp_path / "t.csv"),
+                                       "dtype": "tabular"}])
+        assert render_every_view(cfg) >= 1
+        by_type: dict[str, list[ET.Element]] = {}
+        for path in sorted((tmp_path / "out").glob("view_*.svg")):
+            for group in ET.parse(path).getroot().iter(f"{SVG_NS}g"):
+                if group.get("data-cell"):
+                    by_type.setdefault(group.get("data-cell").split(":", 1)[1], []).append(group)
+        return by_type
+
+    @staticmethod
+    def heatmap_bands_of_v(heatmap: ET.Element) -> set[int]:
+        """The x band of every heatmap cell; v is bound to x."""
+        cells = [r for r in heatmap.iter(f"{SVG_NS}rect") if r.get("class") == "mark"]
+        assert cells
+        width = float(cells[0].get("width"))
+        return {round((float(r.get("x")) - charts.MARGIN_L) / width) for r in cells}
+
+    def test_heatmap_bins_of_a_narrow_range_stay_apart(self, tmp_path):
+        heatmaps = self.charts_of_every_view(tmp_path, self.NARROW_RANGE)["heatmap"]
+        assert all(len(self.heatmap_bands_of_v(h)) >= 2 for h in heatmaps)
+
+    def test_heatmap_bins_of_a_constant_huge_column_fall_in_band_0(self, tmp_path):
+        heatmaps = self.charts_of_every_view(tmp_path, self.CONSTANT_HUGE)["heatmap"]
+        assert all(self.heatmap_bands_of_v(h) == {0} for h in heatmaps)
+
+    @pytest.mark.parametrize("values", ["NARROW_RANGE", "CONSTANT_HUGE"])
+    def test_tick_labels_stay_short(self, tmp_path, values):
+        by_type = self.charts_of_every_view(tmp_path, getattr(self, values))
+        for group in (g for groups in by_type.values() for g in groups):
+            for axis in ("tick-x", "tick-y"):
+                labels = [t.text for t in group.iter(f"{SVG_NS}text") if t.get("class") == axis]
+                assert all(len(label) <= 12 for label in labels), labels
+                if values == "NARROW_RANGE":
+                    assert len(set(labels)) == len(labels), labels
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_malformed_input_exits_two_and_names_file(self, tmp_path, capsys, case):
         dtype, name, content = MALFORMED_INPUTS[case]
@@ -550,6 +600,44 @@ class TestUsageAndDeterminism:
     def test_bad_knob_is_config_error(self, synthetic_dir, tmp_path):
         cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir), min_jaccard=1.5)
         assert run(["specs", "--config", cfg]) == 2
+
+    def test_valid_flag_overrides_an_invalid_file_value(self, synthetic_dir, tmp_path):
+        cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir), max_charts=0)
+        assert run(["specs", "--config", cfg]) == 2
+        assert run(["specs", "--config", cfg, "--max-charts", "3"]) == 0
+        views = json.loads((tmp_path / "out" / "specs.json").read_text())
+        assert max(len(v["charts"]) for v in views) == 3
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--max-charts", "0", "max_charts"),
+        ("--min-jaccard", "1", "min_jaccard"),
+        ("--lambda", "1.5", "lambda"),
+    ])
+    def test_invalid_flag_over_a_valid_file_exits_two_naming_the_key(
+        self, synthetic_dir, tmp_path, capsys, flag, value, key
+    ):
+        cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir), max_charts=4)
+        assert run(["specs", "--config", cfg, flag, value]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_seed_flag_and_file_seed_hash_alike(self, synthetic_dir, tmp_path):
+        hashes = []
+        for name, extra, flags in (("file", {"seed": 7}, []), ("flag", {}, ["--seed", "7"])):
+            base = tmp_path / name
+            base.mkdir()
+            cfg = write_config(base, synthetic_manifest(synthetic_dir), **extra)
+            assert run(["relevance", "--config", cfg, *flags]) == 0
+            manifest = json.loads((base / "out" / "manifest.json").read_text())
+            assert manifest["config"]["seed"] == 7
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] == hashes[1]
+
+    def test_run_config_is_frozen_and_validated_when_built(self):
+        config = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.max_charts = 0
+        with pytest.raises(ConfigError, match="max_charts"):
+            RunConfig(max_charts=0)
 
     def test_two_runs_are_byte_identical(self, synthetic_dir, tmp_path):
         outputs = []

@@ -13,6 +13,7 @@ from reconviz.combine import (
     which_color_align,
     which_spatially_align,
 )
+from reconviz.config import RunConfig
 from reconviz.entitygraph import build_entity_graph
 from reconviz.errors import ConfigError, MultipleImmutable
 from reconviz.ingest import Dataset, Field, load_dataset
@@ -35,7 +36,6 @@ def spec(sid, chart_type, dataset, relevance, **bindings):
         relevance=relevance,
         bindings=parsed,
         required_channels=tuple(parsed),
-        complete=True,
         swappable={"x", "y"} <= parsed.keys(),
     )
 
@@ -211,7 +211,8 @@ def synthetic_assembly(synthetic_dir, relevance_table, encoding_map, templates, 
         load_dataset(m["path"], m["dtype"], m.get("associated"), dataset_id=m["id"])
         for m in synthetic_manifest(synthetic_dir)
     ]
-    return assemble(datasets, relevance_table, encoding_map, templates, viability, seed=11)
+    return assemble(datasets, relevance_table, encoding_map, templates, viability,
+                    RunConfig(seed=11))
 
 
 class TestBindAlignment:

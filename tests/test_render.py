@@ -1,11 +1,13 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
 from reconviz.chartspec import Binding, ChartSpec
 from reconviz.charts import render_chart
+from reconviz.config import RunConfig
 from reconviz.errors import DataMismatch, MissingFragment, UnsupportedChartType
 from reconviz.ingest import explode_fields, load_dataset
 from reconviz.layout import arrange_grid, render_view
@@ -40,14 +42,14 @@ def load_synthetic(synthetic_dir):
 @pytest.fixture()
 def synthetic_assembly(synthetic_dir, relevance_table, encoding_map, templates, viability):
     return assemble(load_synthetic(synthetic_dir), relevance_table, encoding_map, templates,
-                    viability, seed=11)
+                    viability, RunConfig(seed=11))
 
 
 def simple_spec(sid, chart_type, dataset, relevance=5.0, annotations=None, **bindings):
     parsed = {ch: Binding(f.split(".", 1)[1], f.split(".", 1)[0]) for ch, f in bindings.items()}
     return ChartSpec(
         id=sid, chart_type=chart_type, dataset_id=dataset, dtype="tabular",
-        relevance=relevance, bindings=parsed, required_channels=tuple(parsed), complete=True,
+        relevance=relevance, bindings=parsed, required_channels=tuple(parsed),
         annotations=annotations or {},
     )
 
@@ -80,7 +82,6 @@ class TestChartFragments:
             id="phylo:phylogenetic tree", chart_type="phylogenetic tree", dataset_id="phylo",
             dtype="tree", relevance=10.0,
             bindings={"y": Binding("tip_label", "phylo")}, required_channels=("y",),
-            complete=True,
         )
         fragment = render_chart(tree, datasets, fields)
         labels = [
@@ -103,7 +104,7 @@ class TestChartFragments:
             id="phylo:phylogenetic tree", chart_type="phylogenetic tree", dataset_id="phylo",
             dtype="tree", relevance=10.0,
             bindings={"y": Binding("tip_label", "phylo")}, required_channels=("y",),
-            complete=True, annotations={"domain_order": shuffled, "shared_axis": "y"},
+            annotations={"domain_order": shuffled, "shared_axis": "y"},
         )
         fragment = render_chart(tree, datasets, fields)
         labels = [
@@ -147,7 +148,7 @@ class TestChartFragments:
             load_dataset(tmp_path / "tree.nwk", "tree", tmp_path / "meta.csv", dataset_id="tree"),
             load_dataset(tmp_path / "regions.geojson", "spatial", dataset_id="geo"),
         ]
-        asm = assemble(datasets, relevance_table, encoding_map, templates, viability, seed=3)
+        asm = assemble(datasets, relevance_table, encoding_map, templates, viability, RunConfig(seed=3))
         top = asm.views[0]
         assert {s.chart_type for s in top.specs} == {"phylogenetic tree", "geographic map"}
         assert len(top.plan.color_groups) == 1
@@ -183,6 +184,14 @@ class TestChartFragments:
         ghost = simple_spec("samples:bar chart", "bar chart", "samples", x="samples.ghost")
         with pytest.raises(DataMismatch):
             render_chart(ghost, datasets, fields)
+
+    def test_unbound_required_channel_is_data_mismatch(self, synthetic_dir):
+        datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
+        fields, _ = explode_fields(list(datasets.values()))
+        half = simple_spec("samples:heatmap", "heatmap", "samples", x="samples.location")
+        half = replace(half, required_channels=("x", "y"))
+        with pytest.raises(DataMismatch, match="incomplete"):
+            render_chart(half, datasets, fields)
 
     def test_fragment_renders_all_supported_types(self, synthetic_assembly):
         rendered_types = set()
@@ -237,7 +246,7 @@ class TestChartFragments:
         spec = ChartSpec(
             id="net:node-link", chart_type="node-link", dataset_id="net", dtype="network",
             relevance=1.0, bindings={"y": Binding("node_id", "net")},
-            required_channels=("y",), complete=True,
+            required_channels=("y",),
         )
         fragment = render_chart(spec, {"net": net}, fields)
         assert len(marks(fragment, "circle")) == 4
@@ -250,7 +259,6 @@ class TestChartFragments:
             id="regions:geographic map", chart_type="geographic map", dataset_id="regions",
             dtype="spatial", relevance=6.0,
             bindings={"x": Binding("country", "regions")}, required_channels=("x",),
-            complete=True,
         )
         fragment = render_chart(spec, {"regions": regions}, fields)
         polys = marks(fragment, "polygon")
@@ -310,7 +318,7 @@ class TestChartFragments:
             f"{label},{i * 3 % 7},g{i % 3}\n" for i, label in enumerate(labels)))
         datasets = [load_dataset(tmp_path / "tree.nwk", "tree", dataset_id="tree"),
                     load_dataset(tmp_path / "t.csv", "tabular", dataset_id="t")]
-        asm = assemble(datasets, relevance_table, encoding_map, templates, viability)
+        asm = assemble(datasets, relevance_table, encoding_map, templates, viability, RunConfig())
         top = asm.views[0]
         group = top.plan.spatial
         assert "NA" in group.domain
