@@ -415,7 +415,7 @@ def _tree_positions(root: TreeNode, domain: list[str], y_lo: float, y_hi: float)
     order = {label: i for i, label in enumerate(domain)}
     step = (y_hi - y_lo) / max(1, len(domain))
     coords: dict[int, tuple[float, float]] = {}
-    has_lengths = any(leaf.length is not None for leaf in root.leaves())
+    has_lengths = any(leaf.length is not None for leaf in root.leaf_order)
 
     def depth_of(node: TreeNode, acc: float) -> float:
         return acc + ((node.length or 0.0) if has_lengths else 1.0)
@@ -476,7 +476,7 @@ def _render_tree(svg, spec, datasets, fields_by_key):
             branches.append((cx, cy, grandchild))
     show_labels = len(leaves) <= MAX_LEAF_LABELS
     # emit leaf marks top-to-bottom so document order matches the domain order
-    for leaf in sorted(root.leaves(), key=lambda lf: coords[id(lf)][1]):
+    for leaf in sorted(root.leaf_order, key=lambda lf: coords[id(lf)][1]):
         lx, ly = coords[id(leaf)]
         label = (leaf.name or "").strip()
         cat = leaf_color.get(label)

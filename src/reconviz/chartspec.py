@@ -170,6 +170,12 @@ class ChartSpec:
         }
 
 
+def spec_order(spec: ChartSpec) -> tuple:
+    """Sort key of singleton specs: scaled relevance descending, then chart
+    type, then dataset id."""
+    return (-spec.relevance, spec.chart_type, spec.dataset_id)
+
+
 def prioritize_fields(
     path_fields: list[tuple[Field, int]],
     user_fields: list[str] | None = None,
@@ -284,8 +290,8 @@ def generate_single_chart_specs(
     color_card_limit: int = DEFAULT_COLOR_CARD_LIMIT,
     highcard_threshold: int = DEFAULT_HIGHCARD_THRESHOLD,
 ) -> list[ChartSpec]:
-    """All complete singleton chart specs for the datasets on one path,
-    sorted by scaled relevance descending."""
+    """All complete singleton chart specs for the given datasets, in
+    `spec_order`."""
     specs: list[ChartSpec] = []
     for dataset in path_datasets:
         candidates = [f for f in prioritized if f.source_id == dataset.id]
@@ -302,5 +308,5 @@ def generate_single_chart_specs(
             )
             if spec is not None:
                 specs.append(spec)
-    specs.sort(key=lambda s: (-s.relevance, s.chart_type, s.dataset_id))
+    specs.sort(key=spec_order)
     return specs

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 internal error, 2 input/config error, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .combine import ViabilityMatrix
 from .designspace import PrevalenceDesignSpace, TypeEncodingMap, relevance_from_space
 from .entitygraph import render_entity_graph
 from .errors import InputError, ReconVizError
+from .jsonout import json_text
 from .pipeline import TOOL_VERSION, assemble, build_graph, render_view_svg
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ def _write_manifest(config: RunConfig, command: str) -> None:
         "config_hash": config.config_hash(),
         "tool": TOOL_VERSION,
     }
-    _write(config.out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(config.out_dir / "manifest.json", json_text(manifest))
 
 
 def _warn_unknown_user_fields(config: RunConfig, fields) -> None:
@@ -160,7 +160,7 @@ def cmd_render(config: RunConfig, view_index: int) -> int:
     stem = f"view_{view_index:03d}"
     _write(config.out_dir / f"{stem}.svg", render_view_svg(assembly, view))
     _write(config.out_dir / f"{stem}.json",
-           json.dumps(view.to_dict(), indent=2, sort_keys=True) + "\n")
+           json_text(view.to_dict()))
     _write_manifest(config, "render")
     return EXIT_OK
 

@@ -25,21 +25,35 @@ DEFAULT_ENCODING_MAP = ASSETS_DIR / "type_encodings.json"
 DEFAULT_VIABILITY = ASSETS_DIR / "viability_matrix.csv"
 DEFAULT_TEMPLATES = ASSETS_DIR / "chart_templates.json"
 
-# config-file key -> RunConfig field
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a config-file value must be -> its test
+KINDS = {
+    "a string": lambda value: isinstance(value, str),
+    "an integer": _is_int,
+    "a number": lambda value: _is_int(value) or isinstance(value, float),
+    "a list of strings": lambda value: (isinstance(value, list)
+                                        and all(isinstance(v, str) for v in value)),
+}
+
+# config-file key -> (RunConfig field, what the file's value must be)
 CONFIG_KEYS = {
-    "design_space": "design_space",
-    "type_encodings": "type_encodings",
-    "viability_matrix": "viability_matrix",
-    "templates": "templates",
-    "out_dir": "out_dir",
-    "user_fields": "user_fields",
-    "min_jaccard": "min_jaccard",
-    "lambda": "decay",
-    "highcard_threshold": "highcard_threshold",
-    "color_card_limit": "color_card_limit",
-    "max_charts": "max_charts",
-    "max_views_per_component": "max_views_per_component",
-    "seed": "seed",
+    "design_space": ("design_space", "a string"),
+    "type_encodings": ("type_encodings", "a string"),
+    "viability_matrix": ("viability_matrix", "a string"),
+    "templates": ("templates", "a string"),
+    "out_dir": ("out_dir", "a string"),
+    "user_fields": ("user_fields", "a list of strings"),
+    "min_jaccard": ("min_jaccard", "a number"),
+    "lambda": ("decay", "a number"),
+    "highcard_threshold": ("highcard_threshold", "an integer"),
+    "color_card_limit": ("color_card_limit", "an integer"),
+    "max_charts": ("max_charts", "an integer"),
+    "max_views_per_component": ("max_views_per_component", "an integer"),
+    "seed": ("seed", "an integer"),
 }
 # data files the pipeline reads; they and out_dir resolve against the config
 # file's directory
@@ -114,7 +128,7 @@ class RunConfig:
                 for e in self.datasets
             ],
         }
-        for key, name in CONFIG_KEYS.items():
+        for key, (name, _) in CONFIG_KEYS.items():
             value = getattr(self, name)
             if name in ASSET_FIELDS:
                 doc[key] = str(value)
@@ -125,6 +139,27 @@ class RunConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
+
+
+def _check_kind(label: str, value, kind: str) -> None:
+    if not KINDS[kind](value):
+        raise ConfigError(f"{label} must be {kind}, got {json.dumps(value)}")
+
+
+def _manifest_items(datasets) -> list[dict]:
+    """The config file's dataset entries, each checked to be an object with
+    string `path` and `dtype` and, when given, string `id` and `associated`."""
+    if datasets is None:
+        return []
+    if not isinstance(datasets, list) or not all(isinstance(item, dict) for item in datasets):
+        raise ConfigError(f"config key 'datasets' must be a list of objects, got {json.dumps(datasets)}")
+    for i, item in enumerate(datasets):
+        if "path" not in item or "dtype" not in item:
+            raise ConfigError(f"dataset entry {i} needs path and dtype")
+        for name in ("path", "dtype", "id", "associated"):
+            if name in ("path", "dtype") or item.get(name) is not None:
+                _check_kind(f"config key 'datasets': entry {i} {name!r}", item[name], "a string")
+    return datasets
 
 
 def load_config(path: str | Path, **overrides) -> RunConfig:
@@ -148,25 +183,27 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
         p = Path(value)
         return p if p.is_absolute() else base / p
 
-    entries = []
-    for i, item in enumerate(doc.get("datasets", [])):
-        if "path" not in item or "dtype" not in item:
-            raise ConfigError(f"dataset entry {i} needs path and dtype")
-        entries.append(
-            ManifestEntry(
-                id=item.get("id") or Path(item["path"]).stem,
-                path=resolve(item["path"]),
-                dtype=item["dtype"],
-                associated=resolve(item.get("associated")),
-            )
+    entries = [
+        ManifestEntry(
+            id=item.get("id") or Path(item["path"]).stem,
+            path=resolve(item["path"]),
+            dtype=item["dtype"],
+            associated=resolve(item.get("associated")),
         )
+        for item in _manifest_items(doc.get("datasets"))
+    ]
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate dataset ids in manifest")
 
     paths = (*ASSET_FIELDS, "out_dir")
-    settings = {name: resolve(doc[key]) if name in paths else doc[key]
-                for key, name in CONFIG_KEYS.items() if doc.get(key) is not None}
+    settings = {}
+    for key, (name, kind) in CONFIG_KEYS.items():
+        value = doc.get(key)
+        if value is None or name in overrides:
+            continue
+        _check_kind(f"config key {key!r}", value, kind)
+        settings[name] = resolve(value) if name in paths else value
     settings.update(overrides)
     if "user_fields" in settings:
         settings["user_fields"] = tuple(settings["user_fields"])

@@ -11,7 +11,6 @@ strengths, and tie-breaks never depend on float rounding.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,7 @@ from functools import cached_property
 
 from .errors import EmptySet
 from .ingest import Field
+from .jsonout import json_text
 from .svg import SvgBuilder
 
 DEFAULT_MIN_JACCARD = 0.0
@@ -150,7 +150,7 @@ class EntityGraph:
         ]
         nodes.sort(key=lambda n: (n["kind"], n["id"]))
         edges.sort(key=lambda e: (e["kind"], e["a"], e["b"]))
-        return json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True) + "\n"
+        return json_text({"nodes": nodes, "edges": edges})
 
 
 def build_entity_graph(

@@ -76,8 +76,11 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def leaves(self) -> list["TreeNode"]:
-        """Leaves left to right; iterative, so a ladder tree of any depth works."""
+    @cached_property
+    def leaf_order(self) -> tuple["TreeNode", ...]:
+        """Leaves left to right, walked once, on first use: the tree must be
+        complete by then (`parse_newick` asks for it last). Iterative, so a
+        ladder tree of any depth works."""
         out: list[TreeNode] = []
         stack = [self]
         while stack:
@@ -86,10 +89,14 @@ class TreeNode:
                 stack.extend(reversed(node.children))
             else:
                 out.append(node)
-        return out
+        return tuple(out)
+
+    def leaves(self) -> list["TreeNode"]:
+        """A new list of the leaves left to right; the caller may reorder it."""
+        return list(self.leaf_order)
 
     def leaf_labels(self) -> list[str]:
-        return [leaf.name or "" for leaf in self.leaves()]
+        return [leaf.name or "" for leaf in self.leaf_order]
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
@@ -393,7 +400,7 @@ def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
     skip_ws()
     if pos != n:
         raise error(f"trailing content after ';' at offset {pos}")
-    leaves = root.leaves()
+    leaves = root.leaf_order
     if not leaves:
         raise error("tree has no leaves")
     labels = [leaf.name for leaf in leaves]

@@ -8,7 +8,6 @@ so parallel or out-of-order evaluation cannot change results.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import __version__
@@ -17,6 +16,7 @@ from .chartspec import (
     ChartTemplate,
     generate_single_chart_specs,
     prioritize_fields,
+    spec_order,
 )
 from .charts import render_chart
 from .combine import CombinationPlan, ViabilityMatrix, bind_alignment, build_plan
@@ -24,6 +24,7 @@ from .config import RunConfig
 from .designspace import RelevanceTable, TypeEncodingMap
 from .entitygraph import EntityGraph, build_entity_graph
 from .ingest import Dataset, Field, explode_fields
+from .jsonout import json_text
 from .layout import ViewLayout, arrange_grid, render_view
 from .ranking import RankedPath, rank_paths
 
@@ -59,7 +60,7 @@ class Assembly:
     views: list[View]
 
     def views_json(self) -> str:
-        return json.dumps([v.to_dict() for v in self.views], indent=2, sort_keys=True) + "\n"
+        return json_text([v.to_dict() for v in self.views])
 
 
 def build_graph(datasets: list[Dataset], min_jaccard: float):
@@ -86,21 +87,34 @@ def assemble(
     dtypes = {d.id: d.dtype for d in datasets}
     ranked = rank_paths(graph, dtypes, encoding_map, table)
 
+    fields_of: dict[str, list[Field]] = {}
+    for f in fields:
+        fields_of.setdefault(f.source_id, []).append(f)
+    singles: dict[str, list[ChartSpec]] = {}
+
+    def dataset_specs(ds_id: str) -> list[ChartSpec]:
+        """The dataset's singleton specs, made on first use. Field priority
+        reads each field's degree in the whole graph and sorts on a total
+        key, so a dataset's specs are the same on every path. Views share
+        them: bind_alignment returns copies."""
+        if ds_id not in singles:
+            prioritized = prioritize_fields(
+                [(f, graph.field_degree(f)) for f in fields_of[ds_id]], config.user_fields)
+            singles[ds_id] = generate_single_chart_specs(
+                [by_id[ds_id]], prioritized, templates, table,
+                color_card_limit=config.color_card_limit,
+                highcard_threshold=config.highcard_threshold,
+            )
+        return singles[ds_id]
+
     views: list[View] = []
     emitted_per_component: dict[int, int] = {}
     for rank_position, rp in enumerate(ranked, start=1):
         component = rp.path.component_id
         if emitted_per_component.get(component, 0) >= config.max_views_per_component:
             continue
-        hub_set = set(rp.path.hubs)
-        path_datasets = [by_id[h] for h in rp.path.hubs]
-        path_fields = [(f, graph.field_degree(f)) for f in fields if f.source_id in hub_set]
-        prioritized = prioritize_fields(path_fields, config.user_fields)
-        specs = generate_single_chart_specs(
-            path_datasets, prioritized, templates, table,
-            color_card_limit=config.color_card_limit,
-            highcard_threshold=config.highcard_threshold,
-        )[:config.max_charts]
+        specs = sorted((s for hub in rp.path.hubs for s in dataset_specs(hub)),
+                       key=spec_order)[:config.max_charts]
         if not specs:
             continue
         plan = build_plan(specs, matrix, graph, by_id,

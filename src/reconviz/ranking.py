@@ -10,7 +10,6 @@ and the best possible score is 3.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +17,7 @@ from fractions import Fraction
 from .designspace import RelevanceTable, TypeEncodingMap
 from .entitygraph import EntityGraph, GraphPath, connected_components, enumerate_paths, path_strength
 from .errors import UnknownDataset
+from .jsonout import json_text
 
 
 @dataclass(frozen=True)
@@ -123,4 +123,4 @@ def rank_paths(
 
 
 def ranked_paths_json(ranked: list[RankedPath]) -> str:
-    return json.dumps([r.describe() for r in ranked], indent=2, sort_keys=True) + "\n"
+    return json_text([r.describe() for r in ranked])

@@ -6,7 +6,24 @@ output is byte-identical across platforms and locales.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape, quoteattr
+
+def escape(text: str) -> str:
+    """`&`, `>` and `<` as entities, as `xml.sax.saxutils.escape` writes
+    them (that module's import pulls in `urllib` and `email`)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """`text` escaped and quoted as an attribute value, as
+    `xml.sax.saxutils.quoteattr` writes it: line breaks and tabs become
+    character references, and the quotes are double unless the text holds
+    a double quote and no single one."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def fmt(value: float | int) -> str:

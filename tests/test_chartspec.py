@@ -9,8 +9,12 @@ from reconviz.chartspec import (
     prioritize_fields,
     slot_accepts,
 )
+from reconviz import pipeline
+from reconviz.config import RunConfig
 from reconviz.errors import ConstraintViolation
-from reconviz.ingest import Dataset, Feature, FeatureSet, Field, Table
+from reconviz.ingest import Dataset, Feature, FeatureSet, Field, Table, load_dataset
+
+from conftest import fig1_datasets, synthetic_manifest
 
 
 def field(name, source, values=None, numeric=False, rows=None):
@@ -224,3 +228,61 @@ class TestGenerateSingleChartSpecs:
         assert "heatmap" not in types
         assert "scatter chart" not in types
         assert "histogram" in types
+
+
+def _fixture_datasets(name, fig1_dir, synthetic_dir):
+    manifest = fig1_datasets(fig1_dir) if name == "fig1" else synthetic_manifest(synthetic_dir)
+    return [load_dataset(m["path"], m["dtype"], m.get("associated"), dataset_id=m["id"])
+            for m in manifest]
+
+
+class TestSingletonSpecsMadeOncePerDataset:
+    """`assemble` makes each dataset's singleton specs once and merges them
+    per view; the oracle generates them per path, as every view once did."""
+
+    USER_FIELDS = {"fig1": ("country", "phylo.case_id"), "synthetic": ("location", "gel.lane")}
+
+    @pytest.mark.parametrize("max_charts", [5, 2])
+    @pytest.mark.parametrize("with_user_fields", [False, True])
+    @pytest.mark.parametrize("name", ["fig1", "synthetic"])
+    def test_view_specs_equal_the_per_path_generation(
+        self, monkeypatch, fig1_dir, synthetic_dir, relevance_table, encoding_map, templates,
+        viability, name, with_user_fields, max_charts,
+    ):
+        config = RunConfig(user_fields=self.USER_FIELDS[name] if with_user_fields else (),
+                           max_charts=max_charts)
+        planned = []
+        build_plan = pipeline.build_plan
+        monkeypatch.setattr(pipeline, "build_plan",
+                            lambda specs, *a, **k: planned.append(specs) or build_plan(specs, *a, **k))
+        asm = pipeline.assemble(_fixture_datasets(name, fig1_dir, synthetic_dir), relevance_table,
+                                encoding_map, templates, viability, config)
+        assert len(planned) == len(asm.views) > 1
+        for view, specs in zip(asm.views, planned):
+            hubs = set(view.ranked.path.hubs)
+            path_fields = [(f, asm.graph.field_degree(f)) for f in asm.fields if f.source_id in hubs]
+            expected = generate_single_chart_specs(
+                [asm.datasets[h] for h in view.ranked.path.hubs],
+                prioritize_fields(path_fields, list(config.user_fields)), templates, relevance_table,
+                color_card_limit=config.color_card_limit,
+                highcard_threshold=config.highcard_threshold,
+            )[:config.max_charts]
+            assert specs == expected
+
+    @pytest.mark.parametrize("name", ["fig1", "synthetic"])
+    def test_each_dataset_once_and_left_unbound(
+        self, monkeypatch, fig1_dir, synthetic_dir, relevance_table, encoding_map, templates,
+        viability, name,
+    ):
+        made = []
+        generate = pipeline.generate_single_chart_specs
+        monkeypatch.setattr(pipeline, "generate_single_chart_specs",
+                            lambda *a, **k: made.append(generate(*a, **k)) or made[-1])
+        asm = pipeline.assemble(_fixture_datasets(name, fig1_dir, synthetic_dir), relevance_table,
+                                encoding_map, templates, viability, RunConfig())
+        views_hubs = {h for view in asm.views for h in view.ranked.path.hubs}
+        assert len(made) == len(views_hubs)
+        assert any("shared_axis" in s.annotations for view in asm.views for s in view.specs)
+        for spec in (s for specs in made for s in specs):
+            assert "render_ready" not in spec.annotations
+            assert "shared_axis" not in spec.annotations

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -619,6 +621,52 @@ class TestUsageAndDeterminism:
         cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir), max_charts=4)
         assert run(["specs", "--config", cfg, flag, value]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_charts", "5"),
+        ("max_charts", 2.0),
+        ("highcard_threshold", True),
+        ("color_card_limit", [12]),
+        ("max_views_per_component", "10"),
+        ("seed", False),
+        ("min_jaccard", "0.1"),
+        ("lambda", True),
+        ("user_fields", "region"),
+        ("user_fields", ["region", 3]),
+        ("design_space", 7),
+        ("templates", ["a.json"]),
+        ("out_dir", {"path": "out"}),
+        ("datasets", 5),
+        ("datasets", ["t.csv"]),
+        ("datasets", [{"path": 3, "dtype": "tabular"}]),
+        ("datasets", [{"path": "t.csv", "dtype": ["tabular"]}]),
+        ("datasets", [{"path": "t.csv", "dtype": "tabular", "id": 1}]),
+        ("datasets", [{"path": "t.csv", "dtype": "tabular", "associated": False}]),
+    ])
+    def test_config_value_of_the_wrong_type_exits_two_naming_the_key(
+        self, tmp_path, capsys, key, value
+    ):
+        (tmp_path / "t.csv").write_text("region,n\nnorth,1\nsouth,2\n")
+        doc = {"datasets": [{"path": "t.csv", "dtype": "tabular"}], key: value}
+        cfg = write_config(tmp_path, doc.pop("datasets"), **doc)
+        assert run(["specs", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key ") and repr(key) in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_flag_replaces_a_file_value_of_the_wrong_type(self, tmp_path):
+        (tmp_path / "t.csv").write_text("region,n\nnorth,1\nsouth,2\n")
+        cfg = write_config(tmp_path, [{"path": "t.csv", "dtype": "tabular"}], max_charts="5")
+        assert run(["specs", "--config", cfg, "--max-charts", "2"]) == 0
+
+    def test_importing_the_cli_leaves_out_the_network_and_email_modules(self):
+        probe = ("import sys, reconviz.cli; "
+                 "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email') "
+                 "if m in sys.modules))")
+        src = Path(reconviz.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_seed_flag_and_file_seed_hash_alike(self, synthetic_dir, tmp_path):
         hashes = []

@@ -262,6 +262,42 @@ class TestNewickParser:
         assert shape(root) == labelled
         assert root.leaf_labels() == [f"n{i}" for i in range(len(root.leaves()))]
 
+    @staticmethod
+    def walk(root):
+        """Leaves left to right, by a stack of child iterators."""
+        out, stack = [], [iter([root])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+            elif node.children:
+                stack.append(iter(node.children))
+            else:
+                out.append(node)
+        return out
+
+    @pytest.mark.parametrize("tree", ["fig1", "synthetic", "ebola", "ladder"])
+    def test_cached_leaf_order_equals_a_fresh_walk(
+        self, fig1_dir, synthetic_dir, ebola_scale_dir, tree
+    ):
+        if tree == "ladder":
+            text = "s0"
+            for i in range(1, 5000):
+                text = f"({text},s{i}):1"
+            root = parse_newick(text + ";")
+        else:
+            path = {"fig1": fig1_dir / "phylo.nwk", "synthetic": synthetic_dir / "phylo.nwk",
+                    "ebola": ebola_scale_dir / "tree.nwk"}[tree]
+            root = load_dataset(path, "tree").payload
+        fresh = self.walk(root)
+        assert len(root.leaf_order) == len(fresh) > 1
+        assert all(a is b for a, b in zip(root.leaf_order, fresh))
+        assert root.leaf_labels() == [leaf.name for leaf in fresh]
+        leaves, labels = root.leaves(), root.leaf_labels()
+        leaves.sort(key=lambda leaf: leaf.name, reverse=True)
+        labels.sort(reverse=True)
+        assert root.leaves() == fresh and root.leaf_labels() == [leaf.name for leaf in fresh]
+
     def test_ladder_deeper_than_recursion_limit(self):
         text = "s0"
         for i in range(1, 3000):

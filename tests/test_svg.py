@@ -1,6 +1,10 @@
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
-from reconviz.svg import SvgBuilder, fmt
+import pytest
+from hypothesis import given, strategies as st
+
+from reconviz.svg import SvgBuilder, escape, fmt, quoteattr
 
 
 class TestNumberFormatting:
@@ -49,3 +53,14 @@ class TestBuilder:
         body = svg.body()
         assert 'stroke-width="2"' in body
         assert 'stroke-dasharray="3 2"' in body
+
+
+class TestEscapingMatchesSaxutils:
+    @given(st.text(alphabet=st.sampled_from("&<>\"'\n\r\t aé\U0001F600")) | st.text())
+    def test_escape_and_quoteattr(self, text):
+        assert escape(text) == saxutils.escape(text)
+        assert quoteattr(text) == saxutils.quoteattr(text)
+
+    @pytest.mark.parametrize("text", ["", "plain", 'a"b', "a'b", "a\"b'c", "<&>", "x\ny\rz\tw"])
+    def test_quote_choice(self, text):
+        assert quoteattr(text) == saxutils.quoteattr(text)
