@@ -10,6 +10,7 @@ can be verified on the output.
 from __future__ import annotations
 
 import base64
+import math
 from datetime import date
 from pathlib import Path
 
@@ -410,26 +411,37 @@ def _render_heatmap(svg, spec, datasets, fields_by_key):
 
 
 def _tree_positions(root: TreeNode, domain: list[str], y_lo: float, y_hi: float):
-    """Leaf y positions follow the bound domain order; inner nodes sit at the
-    mean of their children."""
+    """Node id -> (depth, y), and the depth extent, which holds 0. Leaf y
+    positions follow the bound domain order; inner nodes sit at the mean of
+    their children."""
     order = {label: i for i, label in enumerate(domain)}
     step = (y_hi - y_lo) / max(1, len(domain))
     coords: dict[int, tuple[float, float]] = {}
     has_lengths = any(leaf.length is not None for leaf in root.leaf_order)
 
-    def depth_of(node: TreeNode, acc: float) -> float:
-        return acc + ((node.length or 0.0) if has_lengths else 1.0)
+    def walk(unit: float) -> list[tuple[TreeNode, float]]:
+        """(node, depth in branch lengths / unit) in pre-order with children
+        right to left; reversed, it is the post-order (children left to
+        right, then their parent) without recursion."""
+        def depth_of(node: TreeNode, acc: float) -> float:
+            return acc + ((node.length or 0.0) / unit if has_lengths else 1.0)
 
-    # Pre-order with children right to left; reversed, it is the post-order
-    # (children left to right, then their parent) without recursion.
-    visits = []
-    stack = [(root, depth_of(root, 0.0))]
-    while stack:
-        node, d = stack.pop()
-        visits.append((node, d))
-        for child in node.children:
-            stack.append((child, depth_of(child, d)))
-    max_depth = 0.0
+        visits = []
+        stack = [(root, depth_of(root, 0.0))]
+        while stack:
+            node, d = stack.pop()
+            visits.append((node, d))
+            for child in node.children:
+                stack.append((child, depth_of(child, d)))
+        return visits
+
+    visits = walk(1.0)
+    lo, hi = extent([0.0] + [d for _, d in visits])
+    if not math.isfinite(hi - lo):
+        # finite lengths near the float maximum overflow their sums: measure
+        # depth in units of the longest branch, so it stays within the node count
+        visits = walk(max(abs(node.length or 0.0) for node, _ in visits))
+        lo, hi = extent([0.0] + [d for _, d in visits])
     pending: list[float] = []  # y of each visited subtree whose parent is not yet visited
     for node, d in reversed(visits):
         if node.children:
@@ -440,8 +452,7 @@ def _tree_positions(root: TreeNode, domain: list[str], y_lo: float, y_hi: float)
             y = y_lo + step * (order.get((node.name or "").strip(), 0) + 0.5)
         pending.append(y)
         coords[id(node)] = (d, y)
-        max_depth = max(max_depth, d)
-    return coords, max_depth or 1.0
+    return coords, lo, hi or 1.0
 
 
 def _render_tree(svg, spec, datasets, fields_by_key):
@@ -449,8 +460,8 @@ def _render_tree(svg, spec, datasets, fields_by_key):
     root: TreeNode = dataset.payload
     leaves = root.leaf_labels()
     domain = spec.annotations.get("domain_order") or [label.strip() for label in leaves]
-    coords, max_depth = _tree_positions(root, domain, MARGIN_T, MARGIN_T + PLOT_H)
-    xs = LinearScale(0, max_depth, MARGIN_L, MARGIN_L + PLOT_W - 70)
+    coords, lo, hi = _tree_positions(root, domain, MARGIN_T, MARGIN_T + PLOT_H)
+    xs = LinearScale(lo, hi, MARGIN_L, MARGIN_L + PLOT_W - 70)
 
     color = _resolve(spec, "color", fields_by_key)
     palette = _palette_for(spec, color)
@@ -470,8 +481,9 @@ def _render_tree(svg, spec, datasets, fields_by_key):
     while branches:
         nx, ny, child = branches.pop()
         cx, cy = coords[id(child)]
-        svg.line(xs(nx), ny, xs(nx), cy, stroke=AXIS_COLOR, stroke_width=1)
-        svg.line(xs(nx), cy, xs(cx), cy, stroke=AXIS_COLOR, stroke_width=1)
+        px = xs(nx)
+        svg.line(px, ny, px, cy, stroke=AXIS_COLOR, stroke_width=1)
+        svg.line(px, cy, xs(cx), cy, stroke=AXIS_COLOR, stroke_width=1)
         for grandchild in reversed(child.children):
             branches.append((cx, cy, grandchild))
     show_labels = len(leaves) <= MAX_LEAF_LABELS

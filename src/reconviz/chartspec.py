@@ -67,8 +67,17 @@ def load_templates(path: str | Path) -> list[ChartTemplate]:
     return templates
 
 
-def validate_templates(templates: list[ChartTemplate], table: RelevanceTable) -> None:
+def validate_templates(templates: list[ChartTemplate], table: RelevanceTable,
+                       path: str | Path) -> None:
+    """Each chart type of the template file at `path` is listed once and
+    has a relevance score."""
+    seen: set[str] = set()
     for template in templates:
+        if template.chart_type in seen:
+            raise ConfigError(
+                f"template file {path} lists chart type {template.chart_type!r} twice"
+            )
+        seen.add(template.chart_type)
         if template.chart_type not in table.scaled:
             raise ConfigError(
                 f"template {template.chart_type!r} is missing from the relevance table"

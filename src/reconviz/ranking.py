@@ -10,7 +10,7 @@ and the best possible score is 3.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,11 +76,17 @@ def path_vis_relevance(
 def competition_ranks(values: list) -> list[int]:
     """Rank with ties sharing the minimum rank; highest value gets rank 1.
 
-    A value's rank is 1 + the number of values greater than it, counted by
-    bisecting the sorted values, so the values must be totally ordered.
+    A value's rank is 1 + the number of values greater than it. Only the
+    distinct values are sorted, so they must be totally ordered and
+    hashable; each value then finds its rank by one dict lookup.
     """
-    ordered = sorted(values)
-    return [1 + len(ordered) - bisect_right(ordered, value) for value in values]
+    counts = Counter(values)
+    rank_of = {}
+    greater = 0
+    for value in sorted(counts, reverse=True):
+        rank_of[value] = 1 + greater
+        greater += counts[value]
+    return [rank_of[value] for value in values]
 
 
 def rank_paths(

@@ -380,6 +380,77 @@ class TestCellProperty:
             render_every_view(write_config(root, manifest))
 
 
+# Leaf labels with XML specials, both quote characters (never in one label,
+# which Newick quoting cannot carry), inner spaces and non-ASCII text.
+_LABEL_STEMS = ["a&b", "x<y", "p>q", 'say "hi"', "o'k", "two words", "Zürich",
+                "São Tomé", "北京", "Ωmega", "s"]
+_BRANCH_LENGTHS = st.sampled_from([0.0, 1e-300, 0.01, 0.5, 1.0, 3.0, 1e10, 1e300, 1e308,
+                                    -0.5, -1e308])
+
+
+def _quoted(label: str) -> str:
+    return f'"{label}"' if "'" in label else f"'{label}'"
+
+
+@st.composite
+def newick_trees(draw):
+    """(Newick text, leaf labels): a ladder, star or balanced tree over 2 to
+    40 quoted leaves, with or without branch lengths."""
+    count = draw(st.integers(2, 40))
+    labels = [f"{draw(st.sampled_from(_LABEL_STEMS))} {i}" for i in range(count)]
+    with_lengths = draw(st.booleans())
+
+    def node(text: str) -> str:
+        return f"{text}:{draw(_BRANCH_LENGTHS)!r}" if with_lengths else text
+
+    leaves = [node(_quoted(label)) for label in labels]
+    shape = draw(st.sampled_from(["ladder", "star", "balanced"]))
+    if shape == "star":
+        root = "(" + ",".join(leaves) + ")"
+    elif shape == "ladder":
+        root = leaves[0]
+        for leaf in leaves[1:-1]:
+            root = node(f"({root},{leaf})")
+        root = f"({root},{leaves[-1]})"
+    else:
+        clades = leaves
+        while len(clades) > 2:
+            pairs = [clades[i:i + 2] for i in range(0, len(clades), 2)]
+            clades = [node("(" + ",".join(p) + ")") if len(p) == 2 else p[0] for p in pairs]
+        root = "(" + ",".join(clades) + ")"
+    return root + ";\n", labels
+
+
+@st.composite
+def trees_with_tables(draw):
+    """Files of one collection: a tree with an associated table of a
+    category and a number per leaf, and maybe a loose table keyed by some
+    of the leaf labels."""
+    newick, labels = draw(newick_trees())
+    rows = [["sample_id", "grp", "v"]] + [
+        [label, draw(_CATEGORY_CELLS), draw(st.one_of(_NUMBER_CELLS, _MISSING_CELLS))]
+        for label in labels]
+    files = {"tree.nwk": newick.encode(), "meta.csv": _table(rows)}
+    if draw(st.booleans()):
+        files["t.csv"] = draw(loose_tables(labels))
+    return files
+
+
+class TestTreeProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(trees_with_tables())
+    def test_trees_exit_cleanly_with_finite_views(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, content in files.items():
+                (root / name).write_bytes(content)
+            manifest = [{"id": "tree", "path": str(root / "tree.nwk"), "dtype": "tree",
+                         "associated": str(root / "meta.csv")}]
+            if "t.csv" in files:
+                manifest.append({"id": "t", "path": str(root / "t.csv"), "dtype": "tabular"})
+            assert render_every_view(write_config(root, manifest)) >= 1
+
+
 class TestRobustness:
     @pytest.mark.parametrize("case", sorted(EXTREME_NUMBERS))
     def test_extreme_numbers_render_finite_views(self, tmp_path, case):
@@ -578,6 +649,35 @@ class TestRobustness:
         svg = (tmp_path / "out" / "view_001.svg").read_text()
         assert svg.count("<line") >= 2 * (2 * 1200 - 2)  # two lines per branch
 
+    @staticmethod
+    def tree_config(tmp_path, newick: str) -> Path:
+        """Config of one tree over leaves a..d with an associated table."""
+        (tmp_path / "tree.nwk").write_text(newick)
+        (tmp_path / "meta.csv").write_text("sample_id,grp\na,X\nb,Y\nc,X\nd,Y\n")
+        return write_config(tmp_path, [{"id": "tree", "path": str(tmp_path / "tree.nwk"),
+                                        "dtype": "tree", "associated": str(tmp_path / "meta.csv")}])
+
+    @pytest.mark.parametrize("length", [1e308, -1e308])
+    def test_depths_past_the_float_range_draw_a_finite_tree(self, tmp_path, length):
+        """Each branch length is finite, but root-to-leaf sums of them
+        overflowed to inf, and the tree's lines were drawn at x="nan"."""
+        cfg = self.tree_config(
+            tmp_path, f"(((a:{length!r},b:0):{length!r},c:0):{length!r},d:1);\n")
+        assert render_every_view(cfg) >= 1
+        svg = (tmp_path / "out" / "view_001.svg").read_text()
+        assert svg.count("<line") >= 2 * 6  # two lines per branch
+
+    def test_negative_branch_lengths_stay_on_the_canvas(self, tmp_path):
+        """The depth axis spans the negative depths too, so a leaf above its
+        root is no longer drawn left of the chart."""
+        cfg = self.tree_config(tmp_path, "((a:-5,b:0.001):0.002,(c:1,d:2):1);\n")
+        assert run(["render", "--config", cfg, "--view", "1"]) == 0
+        root = ET.parse(tmp_path / "out" / "view_001.svg").getroot()
+        tree = next(g for g in root.iter(f"{SVG_NS}g")
+                    if g.get("data-cell") == "tree:phylogenetic tree")
+        xs = [float(line.get(a)) for line in tree.iter(f"{SVG_NS}line") for a in ("x1", "x2")]
+        assert xs and all(charts.MARGIN_L <= x <= charts.CELL_W for x in xs)
+
 
 class TestUsageAndDeterminism:
     def test_version_flag_prints_package_version(self, capsys):
@@ -602,6 +702,21 @@ class TestUsageAndDeterminism:
     def test_bad_knob_is_config_error(self, synthetic_dir, tmp_path):
         cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir), min_jaccard=1.5)
         assert run(["specs", "--config", cfg]) == 2
+
+    def test_template_file_listing_a_chart_type_twice_exits_two(
+        self, synthetic_dir, tmp_path, capsys
+    ):
+        """Each dataset would get two specs with one id, and the lead-chart
+        choice then failed as an internal error."""
+        shipped = json.loads((ASSETS_DIR / "chart_templates.json").read_text())
+        doubled = tmp_path / "doubled_templates.json"
+        doubled.write_text(json.dumps(shipped + shipped))
+        cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir), templates=str(doubled))
+        assert run(["specs", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(doubled) in err
+        assert repr(shipped[0]["chart_type"]) in err
+        assert not (tmp_path / "out").exists()
 
     def test_valid_flag_overrides_an_invalid_file_value(self, synthetic_dir, tmp_path):
         cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir), max_charts=0)

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,23 @@ class TestCompetitionRanks:
     ))
     def test_matches_quadratic_oracle(self, values):
         assert competition_ranks(values) == quadratic_competition_ranks(values)
+
+
+    # few distinct values among many: every rank is shared by several paths,
+    # as path strengths are on a collection of many similar paths
+    @given(st.lists(st.one_of(
+        st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)),
+        st.integers(0, 2),
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.25]),
+    ), max_size=300))
+    def test_matches_sort_and_bisect_with_many_ties(self, values):
+        assert competition_ranks(values) == bisect_competition_ranks(values)
+
+
+def bisect_competition_ranks(values):
+    """The former ranking: sort every value, then bisect for each one."""
+    ordered = sorted(values)
+    return [1 + len(ordered) - bisect_right(ordered, value) for value in values]
 
 
 def quadratic_competition_ranks(values):
