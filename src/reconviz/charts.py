@@ -452,7 +452,7 @@ def _tree_positions(root: TreeNode, domain: list[str], y_lo: float, y_hi: float)
             y = y_lo + step * (order.get((node.name or "").strip(), 0) + 0.5)
         pending.append(y)
         coords[id(node)] = (d, y)
-    return coords, lo, hi or 1.0
+    return coords, lo, hi if hi > lo else lo + 1.0
 
 
 def _render_tree(svg, spec, datasets, fields_by_key):

@@ -58,7 +58,11 @@ def load_templates(path: str | Path) -> list[ChartTemplate]:
     if not isinstance(doc, list):
         raise ConfigError(f"template file {path} must be a JSON array")
     templates = []
+    seen: set[str] = set()
     for item in doc:
+        if item["chart_type"] in seen:
+            raise ConfigError(f"template file {path} lists chart type {item['chart_type']!r} twice")
+        seen.add(item["chart_type"])
         slots = tuple(
             EncodingSlot(s["channel"], s.get("constraint", "any"), bool(s.get("required", False)))
             for s in item["slots"]
@@ -67,17 +71,8 @@ def load_templates(path: str | Path) -> list[ChartTemplate]:
     return templates
 
 
-def validate_templates(templates: list[ChartTemplate], table: RelevanceTable,
-                       path: str | Path) -> None:
-    """Each chart type of the template file at `path` is listed once and
-    has a relevance score."""
-    seen: set[str] = set()
+def validate_templates(templates: list[ChartTemplate], table: RelevanceTable) -> None:
     for template in templates:
-        if template.chart_type in seen:
-            raise ConfigError(
-                f"template file {path} lists chart type {template.chart_type!r} twice"
-            )
-        seen.add(template.chart_type)
         if template.chart_type not in table.scaled:
             raise ConfigError(
                 f"template {template.chart_type!r} is missing from the relevance table"

@@ -110,7 +110,7 @@ def _assemble(config: RunConfig, view_limit: int | None = None):
     table = relevance_from_space(space, config.decay)
     encoding_map = TypeEncodingMap.from_json(config.type_encodings)
     templates = load_templates(config.templates)
-    validate_templates(templates, table, config.templates)
+    validate_templates(templates, table)
     matrix = ViabilityMatrix.from_csv(config.viability_matrix)
     assembly = assemble(datasets, table, encoding_map, templates, matrix, config, view_limit)
     _warn_fieldless_datasets(datasets, assembly.fields)

@@ -59,6 +59,8 @@ class SvgBuilder:
         self._suffixes: dict[tuple, str] = {}
 
     def _fmt(self, value: float | int) -> str:
+        # about 3 in 4 float coordinates of a chart repeat (grid lines, bars
+        # on one baseline, a tree's shared branch ends)
         if value.__class__ is not float:
             return fmt(value)
         text = self._floats.get(value)

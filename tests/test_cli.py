@@ -667,16 +667,23 @@ class TestRobustness:
         svg = (tmp_path / "out" / "view_001.svg").read_text()
         assert svg.count("<line") >= 2 * 6  # two lines per branch
 
-    def test_negative_branch_lengths_stay_on_the_canvas(self, tmp_path):
+    @pytest.mark.parametrize("newick", [
+        "((a:-5,b:0.001):0.002,(c:1,d:2):1);\n",
+        "(a:-1,b:-2);\n",
+    ])
+    def test_negative_branch_lengths_stay_on_the_canvas(self, tmp_path, newick):
         """The depth axis spans the negative depths too, so a leaf above its
-        root is no longer drawn left of the chart."""
-        cfg = self.tree_config(tmp_path, "((a:-5,b:0.001):0.002,(c:1,d:2):1);\n")
+        root is no longer drawn left of the chart; a tree with no positive
+        depth spans exactly its own depths, not up to 1."""
+        cfg = self.tree_config(tmp_path, newick)
         assert run(["render", "--config", cfg, "--view", "1"]) == 0
         root = ET.parse(tmp_path / "out" / "view_001.svg").getroot()
         tree = next(g for g in root.iter(f"{SVG_NS}g")
                     if g.get("data-cell") == "tree:phylogenetic tree")
         xs = [float(line.get(a)) for line in tree.iter(f"{SVG_NS}line") for a in ("x1", "x2")]
         assert xs and all(charts.MARGIN_L <= x <= charts.CELL_W for x in xs)
+        assert min(xs) == charts.MARGIN_L
+        assert max(xs) == charts.MARGIN_L + charts.PLOT_W - 70
 
 
 class TestUsageAndDeterminism:
