@@ -14,9 +14,10 @@ import math
 from datetime import date
 from pathlib import Path
 
-from .chartspec import Binding, ChartSpec
+from .chartspec import ChartSpec
 from .combine import build_palette
 from .errors import DataMismatch, UnsupportedChartType
+from .entitygraph import EntityGraph
 from .ingest import Dataset, Field, TABULAR, TreeNode, extent, present
 from .svg import SvgBuilder, fmt
 
@@ -45,17 +46,6 @@ HIST_BINS = 10
 TABLE_MAX_ROWS = 12
 TABLE_MAX_COLS = 4
 ALIGN_MAX_POSITIONS = 40
-
-
-def _resolve(spec: ChartSpec, channel: str, fields_by_key) -> Field | None:
-    """The field bound to `channel`, or None when the channel is unbound."""
-    binding: Binding | None = spec.bindings.get(channel)
-    if binding is None:
-        return None
-    field = fields_by_key.get((binding.source, binding.field))
-    if field is None:
-        raise DataMismatch(f"{spec.id}: unknown field {binding.source}.{binding.field}")
-    return field
 
 
 def _at(field: Field | None, row: int):
@@ -238,10 +228,9 @@ def _legend(svg: SvgBuilder, palette: dict[str, str], used: list[str]) -> None:
 # Renderers
 # ---------------------------------------------------------------------------
 
-def _xy_axes(svg, spec, fields_by_key):
-    """Resolve and scale both positional channels and draw their axes and ticks."""
-    x = _resolve(spec, "x", fields_by_key)
-    y = _resolve(spec, "y", fields_by_key)
+def _xy_axes(svg, spec, bound):
+    """Scale both positional channels and draw their axes and ticks."""
+    x, y = bound.get("x"), bound.get("y")
     xs = _scale_for(spec, "x", x)
     ys = _scale_for(spec, "y", y)
     _axes(svg)
@@ -260,9 +249,9 @@ def _xy_points(x: Field, y: Field, xs, ys):
             yield i, xv, px, py
 
 
-def _render_scatter(svg, spec, datasets, fields_by_key):
-    x, y, xs, ys = _xy_axes(svg, spec, fields_by_key)
-    color = _resolve(spec, "color", fields_by_key)
+def _render_scatter(svg, spec, dataset, bound, graph):
+    x, y, xs, ys = _xy_axes(svg, spec, bound)
+    color = bound.get("color")
     palette = _palette_for(spec, color)
     for i, _, px, py in _xy_points(x, y, xs, ys):
         attrs = {"fill": MARK_COLOR}
@@ -276,9 +265,9 @@ def _render_scatter(svg, spec, datasets, fields_by_key):
     _axis_label(svg, spec, "y")
 
 
-def _render_bar(svg, spec, datasets, fields_by_key):
-    x = _resolve(spec, "x", fields_by_key)
-    color = _resolve(spec, "color", fields_by_key)
+def _render_bar(svg, spec, dataset, bound, graph):
+    x = bound.get("x")
+    color = bound.get("color")
     palette = _palette_for(spec, color)
     domain = _domain_for(spec, "x", x)
     xs = BandScale(domain, MARGIN_L, MARGIN_L + PLOT_W)
@@ -323,8 +312,8 @@ def _render_bar(svg, spec, datasets, fields_by_key):
              transform=f"rotate(-90 14 {fmt(MARGIN_T + PLOT_H / 2)})", **{"class": "axis-label-y"})
 
 
-def _render_histogram(svg, spec, datasets, fields_by_key):
-    x = _resolve(spec, "x", fields_by_key)
+def _render_histogram(svg, spec, dataset, bound, graph):
+    x = bound.get("x")
     values = present(x.column) if x.numeric else []
     lo, hi = _axis_numeric_domain(spec, "x", values)
     xs = LinearScale(lo, hi, MARGIN_L, MARGIN_L + PLOT_W)
@@ -348,8 +337,8 @@ def _render_histogram(svg, spec, datasets, fields_by_key):
     _axis_label(svg, spec, "x")
 
 
-def _render_line(svg, spec, datasets, fields_by_key):
-    x, y, xs, ys = _xy_axes(svg, spec, fields_by_key)
+def _render_line(svg, spec, dataset, bound, graph):
+    x, y, xs, ys = _xy_axes(svg, spec, bound)
     # band positions grow with the category index; numbers sort by value, which
     # stays exact where nearby values round to one position
     points = [(xv if x.numeric else px, px, py)
@@ -387,9 +376,9 @@ def _heatmap_axis(field: Field, spec: ChartSpec, channel: str) -> tuple[BandScal
     return BandScale(range(5), out_lo, out_hi, labels), keys
 
 
-def _render_heatmap(svg, spec, datasets, fields_by_key):
-    xs, x_keys = _heatmap_axis(_resolve(spec, "x", fields_by_key), spec, "x")
-    ys, y_keys = _heatmap_axis(_resolve(spec, "y", fields_by_key), spec, "y")
+def _render_heatmap(svg, spec, dataset, bound, graph):
+    xs, x_keys = _heatmap_axis(bound.get("x"), spec, "x")
+    ys, y_keys = _heatmap_axis(bound.get("y"), spec, "y")
     counts: dict[tuple, int] = {}
     for cx, cy in zip(x_keys, y_keys):
         if cx not in xs.index or cy not in ys.index:
@@ -455,15 +444,14 @@ def _tree_positions(root: TreeNode, domain: list[str], y_lo: float, y_hi: float)
     return coords, lo, hi if hi > lo else lo + 1.0
 
 
-def _render_tree(svg, spec, datasets, fields_by_key):
-    dataset = datasets[spec.dataset_id]
+def _render_tree(svg, spec, dataset, bound, graph):
     root: TreeNode = dataset.payload
     leaves = root.leaf_labels()
     domain = spec.annotations.get("domain_order") or [label.strip() for label in leaves]
     coords, lo, hi = _tree_positions(root, domain, MARGIN_T, MARGIN_T + PLOT_H)
     xs = LinearScale(lo, hi, MARGIN_L, MARGIN_L + PLOT_W - 70)
 
-    color = _resolve(spec, "color", fields_by_key)
+    color = bound.get("color")
     palette = _palette_for(spec, color)
     leaf_color: dict[str, str | None] = {}
     if color is not None:
@@ -502,10 +490,9 @@ def _render_tree(svg, spec, datasets, fields_by_key):
         _legend(svg, palette, sorted(palette))
 
 
-def _render_map(svg, spec, datasets, fields_by_key):
-    dataset = datasets[spec.dataset_id]
-    region = _resolve(spec, "x", fields_by_key) or _resolve(spec, "y", fields_by_key)
-    color = _resolve(spec, "color", fields_by_key)
+def _render_map(svg, spec, dataset, bound, graph):
+    region = bound.get("x") or bound.get("y")
+    color = bound.get("color")
     palette = _palette_for(spec, color)
 
     points = [pt for feat in dataset.payload.features for poly in feat.polygons for pt in poly]
@@ -519,7 +506,7 @@ def _render_map(svg, spec, datasets, fields_by_key):
     ramp = None
     if color is None:
         # fall back to a numeric property ramp when no categorical color bound
-        numeric_props = [f for f in fields_by_key.values() if f.source_id == dataset.id and f.numeric]
+        numeric_props = [f for f in graph.spokes(dataset.id) if f.numeric]
         if numeric_props:
             ramp = min(numeric_props, key=lambda f: f.name)
             lo, hi = extent(present(ramp.column))
@@ -548,9 +535,8 @@ def _render_map(svg, spec, datasets, fields_by_key):
                  **{"class": "axis-label-x"})
 
 
-def _render_table(svg, spec, datasets, fields_by_key):
-    dataset = datasets[spec.dataset_id]
-    key = _resolve(spec, "y", fields_by_key) or _resolve(spec, "x", fields_by_key)
+def _render_table(svg, spec, dataset, bound, graph):
+    key = bound.get("y") or bound.get("x")
     if dataset.dtype == TABULAR:
         columns = list(dataset.payload.columns)[:TABLE_MAX_COLS]
         rows = [[row[dataset.payload.columns.index(c)] for c in columns] for row in dataset.payload.rows]
@@ -580,8 +566,7 @@ def _render_table(svg, spec, datasets, fields_by_key):
                      fill=TEXT_COLOR, font_family="sans-serif", **{"class": "cell"})
 
 
-def _render_alignment(svg, spec, datasets, fields_by_key):
-    dataset = datasets[spec.dataset_id]
+def _render_alignment(svg, spec, dataset, bound, graph):
     records = list(dataset.payload.records)
     order = spec.annotations.get("domain_order")
     if order:
@@ -606,8 +591,7 @@ def _render_alignment(svg, spec, datasets, fields_by_key):
                      fill=BASE_COLORS.get(base, "#bbbbbb"), **{"class": "mark"})
 
 
-def _render_image(svg, spec, datasets, fields_by_key):
-    dataset = datasets[spec.dataset_id]
+def _render_image(svg, spec, dataset, bound, graph):
     data = base64.standard_b64encode(Path(dataset.payload.path).read_bytes()).decode("ascii")
     svg.image(MARGIN_L, MARGIN_T, PLOT_W, PLOT_H - 20, f"data:image/png;base64,{data}",
               preserveAspectRatio="none")
@@ -620,10 +604,7 @@ def _render_image(svg, spec, datasets, fields_by_key):
                      font_family="sans-serif", **{"class": "tick-x"})
 
 
-def _render_node_link(svg, spec, datasets, fields_by_key):
-    import math
-
-    dataset = datasets[spec.dataset_id]
+def _render_node_link(svg, spec, dataset, bound, graph):
     nodes = sorted(dataset.payload.node_ids())
     cx, cy = MARGIN_L + PLOT_W / 2, MARGIN_T + PLOT_H / 2
     radius = min(PLOT_W, PLOT_H) / 2 - 16
@@ -659,17 +640,24 @@ _RENDERERS = {
 }
 
 
-def render_chart(spec: ChartSpec, datasets: dict[str, Dataset], fields: list[Field]) -> str:
-    """Render one finalized chart spec to an SVG fragment (fixed-size box)."""
+def render_chart(spec: ChartSpec, datasets: dict[str, Dataset], graph: EntityGraph) -> str:
+    """Render one finalized chart spec to an SVG fragment (fixed-size box).
+    Each bound channel's field is looked up in `graph` once, here; the
+    renderer gets the spec's dataset and channel -> field."""
     renderer = _RENDERERS.get(spec.chart_type)
     if renderer is None:
         raise UnsupportedChartType(spec.chart_type)
-    if spec.dataset_id not in datasets:
+    dataset = datasets.get(spec.dataset_id)
+    if dataset is None:
         raise DataMismatch(f"{spec.id}: dataset {spec.dataset_id} not loaded")
     if not all(ch in spec.bindings for ch in spec.required_channels):
         raise DataMismatch(f"{spec.id}: spec is incomplete")
-    fields_by_key = {(f.source_id, f.name): f for f in fields}
+    bound = {}
+    for channel, binding in spec.bindings.items():
+        bound[channel] = graph.field(*binding.key())
+        if bound[channel] is None:
+            raise DataMismatch(f"{spec.id}: unknown field {binding.source}.{binding.field}")
     svg = SvgBuilder(CELL_W, CELL_H)
     _frame(svg, spec)
-    renderer(svg, spec, datasets, fields_by_key)
+    renderer(svg, spec, dataset, bound, graph)
     return svg.body()

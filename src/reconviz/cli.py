@@ -87,7 +87,8 @@ def _write_manifest(config: RunConfig, command: str) -> None:
     _write(config.out_dir / "manifest.json", json_text(manifest))
 
 
-def _warn_unknown_user_fields(config: RunConfig, fields) -> None:
+def _warn_unknown_user_fields(config: RunConfig, graph) -> None:
+    fields = graph.fields.values()
     known = {f.name for f in fields} | {f.qualified_name for f in fields}
     for name in config.user_fields:
         if name not in known:
@@ -95,10 +96,9 @@ def _warn_unknown_user_fields(config: RunConfig, fields) -> None:
                   file=sys.stderr)
 
 
-def _warn_fieldless_datasets(datasets, fields) -> None:
-    with_fields = {f.source_id for f in fields}
+def _warn_fieldless_datasets(datasets, graph) -> None:
     for dataset in datasets:
-        if dataset.id not in with_fields:
+        if dataset.id not in graph.hubs:
             print(f"warning: dataset {dataset.id!r} yields no fields (every value is missing); "
                   "it is left out of the entity graph, the paths and every view",
                   file=sys.stderr)
@@ -113,16 +113,16 @@ def _assemble(config: RunConfig, view_limit: int | None = None):
     validate_templates(templates, table)
     matrix = ViabilityMatrix.from_csv(config.viability_matrix)
     assembly = assemble(datasets, table, encoding_map, templates, matrix, config, view_limit)
-    _warn_fieldless_datasets(datasets, assembly.fields)
-    _warn_unknown_user_fields(config, assembly.fields)
+    _warn_fieldless_datasets(datasets, assembly.graph)
+    _warn_unknown_user_fields(config, assembly.graph)
     return assembly
 
 
 def cmd_link(config: RunConfig) -> int:
     datasets = config.load_datasets()
-    fields, metadata, graph = build_graph(datasets, config.min_jaccard)
-    _warn_fieldless_datasets(datasets, fields)
-    _warn_unknown_user_fields(config, fields)
+    metadata, graph = build_graph(datasets, config.min_jaccard)
+    _warn_fieldless_datasets(datasets, graph)
+    _warn_unknown_user_fields(config, graph)
     _write(config.out_dir / "entity_graph.json", graph.to_json())
     _write(config.out_dir / "field_metadata.csv", metadata.to_csv())
     _write_manifest(config, "link")
@@ -131,8 +131,8 @@ def cmd_link(config: RunConfig) -> int:
 
 def cmd_graph(config: RunConfig) -> int:
     datasets = config.load_datasets()
-    fields, _, graph = build_graph(datasets, config.min_jaccard)
-    _warn_fieldless_datasets(datasets, fields)
+    _, graph = build_graph(datasets, config.min_jaccard)
+    _warn_fieldless_datasets(datasets, graph)
     _write(config.out_dir / "entity_graph.svg", render_entity_graph(graph))
     _write_manifest(config, "graph")
     return EXIT_OK

@@ -38,9 +38,6 @@ class PrevalenceDesignSpace:
             raise EmptyDesignSpace("design space has no entries")
         return max(year for _, year, _ in self.entries)
 
-    def chart_types(self) -> list[str]:
-        return sorted({chart for chart, _, _ in self.entries})
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "PrevalenceDesignSpace":
         rows = list(csv.DictReader(io.StringIO(Path(path).read_text(encoding="utf-8"))))

@@ -14,7 +14,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import EmptySet
 from .ingest import Field
@@ -57,7 +56,8 @@ class LinkEdge:
 
 
 class EntityGraph:
-    """Immutable after construction; all accessors return sorted data."""
+    """Fully built by `__init__` and never changed after; all accessors
+    return sorted data."""
 
     def __init__(
         self,
@@ -82,35 +82,9 @@ class EntityGraph:
         for key in self._adjacency:
             self._adjacency[key].sort(key=lambda item: item[0])
 
-    # -- basic accessors ----------------------------------------------------
-
-    def nodes(self) -> list[NodeKey]:
-        return sorted(self._adjacency)
-
-    def field_degree(self, field: Field) -> int:
-        key = spoke_key(field)
-        return len(self._adjacency[key]) if key in self._adjacency else 0
-
-    def neighbors(self, node: NodeKey) -> list[tuple[NodeKey, Fraction | None]]:
-        return self._adjacency[node]
-
-    def field(self, source: str, name: str) -> Field | None:
-        """The spoke `source.name`, or None when the graph has no such field."""
-        return self.fields.get((SPOKE, source, name))
-
-    def link_class(self, source: str, name: str) -> NodeKey:
-        """Representative spoke of the linkage class of `source.name`; a field
-        the graph does not know is its own class."""
-        key = (SPOKE, source, name)
-        return self._link_classes.get(key, key)
-
-    @cached_property
-    def _link_classes(self) -> dict[NodeKey, NodeKey]:
-        """Union-find over linkage edges: spoke -> representative spoke.
-
-        Two fields in the same class carry the same linked identity (e.g. a
-        tree's tip labels and a table's sample-id column).
-        """
+        # Union-find over linkage edges: spoke -> representative spoke. Two
+        # fields in one class carry the same linked identity (e.g. a tree's
+        # tip labels and a table's sample-id column).
         parent: dict[NodeKey, NodeKey] = {key: key for key in self.fields}
 
         def find(x: NodeKey) -> NodeKey:
@@ -125,7 +99,34 @@ class EntityGraph:
                 if rb < ra:
                     ra, rb = rb, ra
                 parent[rb] = ra
-        return {key: find(key) for key in self.fields}
+        self._link_classes = {key: find(key) for key in self.fields}
+
+    # -- basic accessors ----------------------------------------------------
+
+    def nodes(self) -> list[NodeKey]:
+        return sorted(self._adjacency)
+
+    def field_degree(self, field: Field) -> int:
+        key = spoke_key(field)
+        return len(self._adjacency[key]) if key in self._adjacency else 0
+
+    def neighbors(self, node: NodeKey) -> list[tuple[NodeKey, Fraction | None]]:
+        return self._adjacency[node]
+
+    def spokes(self, dataset_id: str) -> list[Field]:
+        """The fields of one dataset, by name; none for a dataset the graph
+        does not know."""
+        return [self.fields[key] for key, _ in self._adjacency.get(hub_key(dataset_id), ())]
+
+    def field(self, source: str, name: str) -> Field | None:
+        """The spoke `source.name`, or None when the graph has no such field."""
+        return self.fields.get((SPOKE, source, name))
+
+    def link_class(self, source: str, name: str) -> NodeKey:
+        """Representative spoke of the linkage class of `source.name`; a field
+        the graph does not know is its own class."""
+        key = (SPOKE, source, name)
+        return self._link_classes.get(key, key)
 
     # -- serialization ------------------------------------------------------
 
@@ -356,11 +357,8 @@ def render_entity_graph(graph: EntityGraph) -> str:
         r = hub_radius if n > 1 else 0.0
         positions[hub_key(ds_id)] = (center + r * math.cos(angle), center + r * math.sin(angle))
 
-    spokes_by_hub: dict[str, list[NodeKey]] = {ds: [] for ds in hub_ids}
-    for key in graph.fields:
-        spokes_by_hub[key[1]].append(key)
     for i, ds_id in enumerate(hub_ids):
-        keys = sorted(spokes_by_hub[ds_id])
+        keys = [spoke_key(field) for field in graph.spokes(ds_id)]
         if not keys:
             continue
         hx, hy = positions[hub_key(ds_id)]

@@ -73,9 +73,6 @@ class TreeNode:
     length: float | None = None
     children: list["TreeNode"] = dc_field(default_factory=list)
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     @cached_property
     def leaf_order(self) -> tuple["TreeNode", ...]:
         """Leaves left to right, walked once, on first use: the tree must be
@@ -90,10 +87,6 @@ class TreeNode:
             else:
                 out.append(node)
         return tuple(out)
-
-    def leaves(self) -> list["TreeNode"]:
-        """A new list of the leaves left to right; the caller may reorder it."""
-        return list(self.leaf_order)
 
     def leaf_labels(self) -> list[str]:
         return [leaf.name or "" for leaf in self.leaf_order]

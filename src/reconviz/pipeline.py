@@ -23,7 +23,7 @@ from .combine import CombinationPlan, ViabilityMatrix, bind_alignment, build_pla
 from .config import RunConfig
 from .designspace import RelevanceTable, TypeEncodingMap
 from .entitygraph import EntityGraph, build_entity_graph
-from .ingest import Dataset, Field, explode_fields
+from .ingest import Dataset, FieldMetadata, explode_fields
 from .jsonout import json_text
 from .layout import ViewLayout, arrange_grid, render_view
 from .ranking import RankedPath, rank_paths
@@ -54,7 +54,6 @@ class View:
 @dataclass
 class Assembly:
     datasets: dict[str, Dataset]
-    fields: list[Field]
     graph: EntityGraph
     ranked: list[RankedPath]
     views: list[View]
@@ -63,10 +62,9 @@ class Assembly:
         return json_text([v.to_dict() for v in self.views])
 
 
-def build_graph(datasets: list[Dataset], min_jaccard: float):
+def build_graph(datasets: list[Dataset], min_jaccard: float) -> tuple[FieldMetadata, EntityGraph]:
     fields, metadata = explode_fields(datasets)
-    graph = build_entity_graph(fields, min_jaccard, {d.id: d.dtype for d in datasets})
-    return fields, metadata, graph
+    return metadata, build_entity_graph(fields, min_jaccard, {d.id: d.dtype for d in datasets})
 
 
 def assemble(
@@ -81,15 +79,12 @@ def assemble(
     """Rank the paths and build views in rank order: all of them, or only the
     first `view_limit` when that is given and at least 1. The tunables come
     from `config`; its file paths are not read here."""
-    fields, _, graph = build_graph(datasets, config.min_jaccard)
+    _, graph = build_graph(datasets, config.min_jaccard)
     encoding_map.validate_against(table)
     by_id = {d.id: d for d in datasets}
     dtypes = {d.id: d.dtype for d in datasets}
     ranked = rank_paths(graph, dtypes, encoding_map, table)
 
-    fields_of: dict[str, list[Field]] = {}
-    for f in fields:
-        fields_of.setdefault(f.source_id, []).append(f)
     singles: dict[str, list[ChartSpec]] = {}
 
     def dataset_specs(ds_id: str) -> list[ChartSpec]:
@@ -99,7 +94,7 @@ def assemble(
         them: bind_alignment returns copies."""
         if ds_id not in singles:
             prioritized = prioritize_fields(
-                [(f, graph.field_degree(f)) for f in fields_of[ds_id]], config.user_fields)
+                [(f, graph.field_degree(f)) for f in graph.spokes(ds_id)], config.user_fields)
             singles[ds_id] = generate_single_chart_specs(
                 [by_id[ds_id]], prioritized, templates, table,
                 color_card_limit=config.color_card_limit,
@@ -125,11 +120,11 @@ def assemble(
         views.append(View(len(views) + 1, rp, final, plan, layout))
         if len(views) == view_limit:
             break
-    return Assembly(by_id, fields, graph, ranked, views)
+    return Assembly(by_id, graph, ranked, views)
 
 
 def render_view_svg(assembly: Assembly, view: View) -> str:
-    fragments = {spec.id: render_chart(spec, assembly.datasets, assembly.fields)
+    fragments = {spec.id: render_chart(spec, assembly.datasets, assembly.graph)
                  for spec in view.specs}
     provenance = {
         "diversity": view.ranked.diversity,

@@ -260,7 +260,8 @@ class TestSingletonSpecsMadeOncePerDataset:
         assert len(planned) == len(asm.views) > 1
         for view, specs in zip(asm.views, planned):
             hubs = set(view.ranked.path.hubs)
-            path_fields = [(f, asm.graph.field_degree(f)) for f in asm.fields if f.source_id in hubs]
+            path_fields = [(f, asm.graph.field_degree(f)) for f in asm.graph.fields.values()
+                           if f.source_id in hubs]
             expected = generate_single_chart_specs(
                 [asm.datasets[h] for h in view.ranked.path.hubs],
                 prioritize_fields(path_fields, list(config.user_fields)), templates, relevance_table,

