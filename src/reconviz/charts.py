@@ -639,6 +639,12 @@ _RENDERERS = {
     "node-link": _render_node_link,
 }
 
+# chart type -> the channels its renderer draws, which a template must require
+DRAWN_CHANNELS = {chart_type: () for chart_type in _RENDERERS} | {
+    "scatter chart": ("x", "y"), "bar chart": ("x",), "histogram": ("x",),
+    "heatmap": ("x", "y"), "line chart": ("x", "y"),
+}
+
 
 def render_chart(spec: ChartSpec, datasets: dict[str, Dataset], graph: EntityGraph) -> str:
     """Render one finalized chart spec to an SVG fragment (fixed-size box).

@@ -14,12 +14,12 @@ bar chart's category axis wants low-cardinality fields, for example).
 
 from __future__ import annotations
 
-import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .designspace import RelevanceTable
-from .errors import ConfigError, ConstraintViolation
+from .errors import ConfigError, ConstraintViolation, read_config_json
 from .ingest import Dataset, Field
 
 CHANNELS = ("x", "y", "color", "shape", "size")
@@ -53,21 +53,43 @@ class ChartTemplate:
             raise ConfigError(f"template {self.chart_type!r} has no required slot")
 
 
-def load_templates(path: str | Path) -> list[ChartTemplate]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, list):
-        raise ConfigError(f"template file {path} must be a JSON array")
+def _is_template(item) -> bool:
+    """Whether a template file entry has the shape `load_templates` reads."""
+    return (isinstance(item, dict)
+            and all(isinstance(item.get(key), str) for key in ("chart_type", "dtype"))
+            and isinstance(item.get("slots"), list)
+            and all(isinstance(s, dict) for s in item["slots"]))
+
+
+def load_templates(path: str | Path, drawable: Mapping[str, tuple[str, ...]]) -> list[ChartTemplate]:
+    """The templates in the JSON file at `path`. `drawable` maps each chart
+    type a renderer exists for to the channels that renderer draws; a
+    template names such a type at most once and requires those channels."""
+    doc = read_config_json(path, "template file")
+    if not isinstance(doc, list) or not all(_is_template(item) for item in doc):
+        raise ConfigError(f"template file {path} must be a JSON array of objects, each with "
+                          "string chart_type and dtype and a list of slot objects")
     templates = []
     seen: set[str] = set()
     for item in doc:
         if item["chart_type"] in seen:
             raise ConfigError(f"template file {path} lists chart type {item['chart_type']!r} twice")
+        if item["chart_type"] not in drawable:
+            raise ConfigError(f"template file {path}: no renderer draws chart type "
+                              f"{item['chart_type']!r}")
         seen.add(item["chart_type"])
-        slots = tuple(
-            EncodingSlot(s["channel"], s.get("constraint", "any"), bool(s.get("required", False)))
-            for s in item["slots"]
-        )
-        templates.append(ChartTemplate(item["chart_type"], item["dtype"], slots))
+        try:
+            slots = tuple(
+                EncodingSlot(s.get("channel"), s.get("constraint", "any"), bool(s.get("required", False)))
+                for s in item["slots"]
+            )
+            templates.append(ChartTemplate(item["chart_type"], item["dtype"], slots))
+        except ConfigError as exc:
+            raise ConfigError(f"template file {path}: {exc}")
+        optional = set(drawable[item["chart_type"]]) - {s.channel for s in slots if s.required}
+        if optional:
+            raise ConfigError(f"template file {path}: {item['chart_type']!r} is drawn from "
+                              f"{', '.join(sorted(optional))}, which its template must require")
     return templates
 
 

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config
+from .charts import DRAWN_CHANNELS
 from .chartspec import load_templates, validate_templates
 from .combine import ViabilityMatrix
 from .designspace import PrevalenceDesignSpace, TypeEncodingMap, relevance_from_space
@@ -109,7 +110,7 @@ def _assemble(config: RunConfig, view_limit: int | None = None):
     space = PrevalenceDesignSpace.from_csv(config.design_space)
     table = relevance_from_space(space, config.decay)
     encoding_map = TypeEncodingMap.from_json(config.type_encodings)
-    templates = load_templates(config.templates)
+    templates = load_templates(config.templates, DRAWN_CHANNELS)
     validate_templates(templates, table)
     matrix = ViabilityMatrix.from_csv(config.viability_matrix)
     assembly = assemble(datasets, table, encoding_map, templates, matrix, config, view_limit)
@@ -192,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ReconVizError as exc:

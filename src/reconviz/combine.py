@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .chartspec import Binding, ChartSpec
 from .entitygraph import EntityGraph, NodeKey
-from .errors import ConfigError, MultipleImmutable
+from .errors import ConfigError, MultipleImmutable, read_config_text
 from .ingest import Dataset, Field, extent, present
 
 IMMUTABLE_CHART_TYPES = frozenset({"phylogenetic tree", "geographic map", "image"})
@@ -67,7 +67,7 @@ class ViabilityMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ViabilityMatrix":
-        rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8"))))
+        rows = list(csv.reader(io.StringIO(read_config_text(path, "viability matrix"))))
         rows = [row for row in rows if row]
         if not rows:
             raise ConfigError(f"viability matrix {path} is empty")

@@ -15,7 +15,7 @@ from pathlib import Path
 from .chartspec import DEFAULT_COLOR_CARD_LIMIT, DEFAULT_HIGHCARD_THRESHOLD
 from .designspace import DEFAULT_DECAY
 from .entitygraph import DEFAULT_MIN_JACCARD
-from .errors import ConfigError
+from .errors import ConfigError, read_config_json
 from .ingest import DATA_TYPES, Dataset, load_dataset
 
 ASSETS_DIR = Path(__file__).parent / "assets"
@@ -169,10 +169,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
+    doc = read_config_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must be a JSON object")
     base = path.parent

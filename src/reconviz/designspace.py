@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AllZeroCounts, ConfigError, EmptyDesignSpace, UnmappedDataType
+from .errors import (AllZeroCounts, ConfigError, EmptyDesignSpace, UnmappedDataType,
+                     read_config_json, read_config_text)
 
 DEFAULT_DECAY = 0.9
 SCALE_TOP = 10.0
@@ -40,7 +40,7 @@ class PrevalenceDesignSpace:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PrevalenceDesignSpace":
-        rows = list(csv.DictReader(io.StringIO(Path(path).read_text(encoding="utf-8"))))
+        rows = list(csv.DictReader(io.StringIO(read_config_text(path, "design space file"))))
         if not rows:
             raise EmptyDesignSpace(f"design space file {path} has no rows")
         entries = []
@@ -49,7 +49,10 @@ class PrevalenceDesignSpace:
                 entries.append((row["chart_type"].strip(), int(row["year"]), int(row["count"])))
             except (KeyError, TypeError, ValueError):
                 raise ConfigError(f"design space file {path} needs chart_type,year,count rows")
-        return cls(tuple(entries))
+        try:
+            return cls(tuple(entries))
+        except ConfigError as exc:
+            raise ConfigError(f"design space file {path}: {exc}")
 
 
 def raw_relevance(space: PrevalenceDesignSpace, decay: float = DEFAULT_DECAY) -> dict[str, float]:
@@ -60,8 +63,11 @@ def raw_relevance(space: PrevalenceDesignSpace, decay: float = DEFAULT_DECAY) ->
         raise ConfigError(f"decay must be in (0, 1], got {decay}")
     year_max = space.year_max
     totals: dict[str, float] = {}
-    for chart, year, count in space.entries:
-        totals[chart] = totals.get(chart, 0.0) + count * decay ** (year_max - year)
+    try:
+        for chart, year, count in space.entries:
+            totals[chart] = totals.get(chart, 0.0) + count * decay ** (year_max - year)
+    except OverflowError:
+        raise ConfigError("design space counts and year spans must fit a float")
     return dict(sorted(totals.items()))
 
 
@@ -105,8 +111,8 @@ class TypeEncodingMap:
     candidates: dict[str, tuple[str, ...]]  # data type -> chart types
 
     def charts_for(self, dtype: str) -> tuple[str, ...]:
-        if dtype not in self.candidates:
-            raise UnmappedDataType(dtype)
+        if not self.candidates.get(dtype):
+            raise UnmappedDataType(f"encoding map lists no chart type for data type {dtype!r}")
         return self.candidates[dtype]
 
     def validate_against(self, table: RelevanceTable) -> None:
@@ -119,7 +125,10 @@ class TypeEncodingMap:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TypeEncodingMap":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ConfigError(f"encoding map {path} must be a JSON object")
+        doc = read_config_json(path, "encoding map")
+        if not isinstance(doc, dict) or not all(
+                isinstance(charts, list) and all(isinstance(c, str) for c in charts)
+                for charts in doc.values()):
+            raise ConfigError(f"encoding map {path} must be a JSON object mapping each data type "
+                              "to a list of chart type names")
         return cls({dtype: tuple(charts) for dtype, charts in sorted(doc.items())})

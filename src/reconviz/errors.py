@@ -6,6 +6,9 @@ so the CLI can map them to exit code 2; everything else is a pipeline bug.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 
 class ReconVizError(Exception):
     """Base class for all errors raised by this package."""
@@ -78,3 +81,21 @@ class MissingFragment(ReconVizError):
 
 class ConfigError(InputError):
     pass
+
+
+def read_config_text(path: str | Path, what: str) -> str:
+    """The text of the UTF-8 config or asset file `path`; `what` names the
+    file in the ConfigError raised when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8: {exc}")
+
+
+def read_config_json(path: str | Path, what: str):
+    """The JSON document in the config or asset file `path`, as
+    `read_config_text` reads it; invalid JSON is a ConfigError too."""
+    try:
+        return json.loads(read_config_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}")
