@@ -18,7 +18,8 @@ from .chartspec import ChartSpec
 from .combine import build_palette
 from .errors import DataMismatch, UnsupportedChartType
 from .entitygraph import EntityGraph
-from .ingest import Dataset, Field, TABULAR, TreeNode, extent, present
+from .ingest import (GENOMIC, IMAGE, NETWORK, SPATIAL, TABULAR, TREE, Dataset, Field, TreeNode,
+                     extent, present)
 from .svg import SvgBuilder, fmt
 
 CELL_W = 320.0
@@ -625,34 +626,35 @@ def _render_node_link(svg, spec, dataset, bound, graph):
                      text_anchor="middle", font_family="sans-serif")
 
 
+# chart type -> (renderer, the data type whose payload it reads or None when
+# it reads only bound fields, the channels it draws)
 _RENDERERS = {
-    "phylogenetic tree": _render_tree,
-    "scatter chart": _render_scatter,
-    "bar chart": _render_bar,
-    "histogram": _render_histogram,
-    "heatmap": _render_heatmap,
-    "line chart": _render_line,
-    "geographic map": _render_map,
-    "table": _render_table,
-    "genomic alignment table": _render_alignment,
-    "image": _render_image,
-    "node-link": _render_node_link,
+    "phylogenetic tree": (_render_tree, TREE, ()),
+    "scatter chart": (_render_scatter, None, ("x", "y")),
+    "bar chart": (_render_bar, None, ("x",)),
+    "histogram": (_render_histogram, None, ("x",)),
+    "heatmap": (_render_heatmap, None, ("x", "y")),
+    "line chart": (_render_line, None, ("x", "y")),
+    "geographic map": (_render_map, SPATIAL, ()),
+    "table": (_render_table, None, ()),
+    "genomic alignment table": (_render_alignment, GENOMIC, ()),
+    "image": (_render_image, IMAGE, ()),
+    "node-link": (_render_node_link, NETWORK, ()),
 }
 
-# chart type -> the channels its renderer draws, which a template must require
-DRAWN_CHANNELS = {chart_type: () for chart_type in _RENDERERS} | {
-    "scatter chart": ("x", "y"), "bar chart": ("x",), "histogram": ("x",),
-    "heatmap": ("x", "y"), "line chart": ("x", "y"),
-}
+# chart type -> (data type or None, drawn channels): a template for the type
+# must be for that data type and require those channels
+DRAWABLE = {chart_type: (dtype, channels)
+            for chart_type, (_, dtype, channels) in _RENDERERS.items()}
 
 
 def render_chart(spec: ChartSpec, datasets: dict[str, Dataset], graph: EntityGraph) -> str:
     """Render one finalized chart spec to an SVG fragment (fixed-size box).
     Each bound channel's field is looked up in `graph` once, here; the
     renderer gets the spec's dataset and channel -> field."""
-    renderer = _RENDERERS.get(spec.chart_type)
-    if renderer is None:
+    if spec.chart_type not in _RENDERERS:
         raise UnsupportedChartType(spec.chart_type)
+    renderer = _RENDERERS[spec.chart_type][0]
     dataset = datasets.get(spec.dataset_id)
     if dataset is None:
         raise DataMismatch(f"{spec.id}: dataset {spec.dataset_id} not loaded")

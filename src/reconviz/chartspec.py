@@ -58,17 +58,21 @@ def _is_template(item) -> bool:
     return (isinstance(item, dict)
             and all(isinstance(item.get(key), str) for key in ("chart_type", "dtype"))
             and isinstance(item.get("slots"), list)
-            and all(isinstance(s, dict) for s in item["slots"]))
+            and all(isinstance(s, dict) and isinstance(s.get("required", False), bool)
+                    for s in item["slots"]))
 
 
-def load_templates(path: str | Path, drawable: Mapping[str, tuple[str, ...]]) -> list[ChartTemplate]:
+def load_templates(path: str | Path,
+                   drawable: Mapping[str, tuple[str | None, tuple[str, ...]]]) -> list[ChartTemplate]:
     """The templates in the JSON file at `path`. `drawable` maps each chart
-    type a renderer exists for to the channels that renderer draws; a
-    template names such a type at most once and requires those channels."""
+    type a renderer exists for to the data type whose payload that renderer
+    reads (None: any) and the channels it draws; a template names such a
+    type at most once, is for that data type and requires those channels."""
     doc = read_config_json(path, "template file")
-    if not isinstance(doc, list) or not all(_is_template(item) for item in doc):
-        raise ConfigError(f"template file {path} must be a JSON array of objects, each with "
-                          "string chart_type and dtype and a list of slot objects")
+    if not isinstance(doc, list) or not doc or not all(_is_template(item) for item in doc):
+        raise ConfigError(f"template file {path} must be a non-empty JSON array of objects, "
+                          "each with string chart_type and dtype and a list of slot objects, "
+                          "whose required is true or false")
     templates = []
     seen: set[str] = set()
     for item in doc:
@@ -77,16 +81,20 @@ def load_templates(path: str | Path, drawable: Mapping[str, tuple[str, ...]]) ->
         if item["chart_type"] not in drawable:
             raise ConfigError(f"template file {path}: no renderer draws chart type "
                               f"{item['chart_type']!r}")
+        dtype, channels = drawable[item["chart_type"]]
+        if dtype not in (None, item["dtype"]):
+            raise ConfigError(f"template file {path}: {item['chart_type']!r} draws {dtype} data, "
+                              f"not {item['dtype']!r}")
         seen.add(item["chart_type"])
         try:
             slots = tuple(
-                EncodingSlot(s.get("channel"), s.get("constraint", "any"), bool(s.get("required", False)))
+                EncodingSlot(s.get("channel"), s.get("constraint", "any"), s.get("required", False))
                 for s in item["slots"]
             )
             templates.append(ChartTemplate(item["chart_type"], item["dtype"], slots))
         except ConfigError as exc:
             raise ConfigError(f"template file {path}: {exc}")
-        optional = set(drawable[item["chart_type"]]) - {s.channel for s in slots if s.required}
+        optional = set(channels) - {s.channel for s in slots if s.required}
         if optional:
             raise ConfigError(f"template file {path}: {item['chart_type']!r} is drawn from "
                               f"{', '.join(sorted(optional))}, which its template must require")

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config
-from .charts import DRAWN_CHANNELS
+from .charts import DRAWABLE
 from .chartspec import load_templates, validate_templates
 from .combine import ViabilityMatrix
 from .designspace import PrevalenceDesignSpace, TypeEncodingMap, relevance_from_space
@@ -110,7 +110,7 @@ def _assemble(config: RunConfig, view_limit: int | None = None):
     space = PrevalenceDesignSpace.from_csv(config.design_space)
     table = relevance_from_space(space, config.decay)
     encoding_map = TypeEncodingMap.from_json(config.type_encodings)
-    templates = load_templates(config.templates, DRAWN_CHANNELS)
+    templates = load_templates(config.templates, DRAWABLE)
     validate_templates(templates, table)
     matrix = ViabilityMatrix.from_csv(config.viability_matrix)
     assembly = assemble(datasets, table, encoding_map, templates, matrix, config, view_limit)

@@ -81,7 +81,10 @@ class ViabilityMatrix:
                 cells[(name, col)] = value.strip().upper()
         if sorted(header) != sorted({name for name, _ in cells}):
             raise ConfigError(f"viability matrix {path}: row/column mismatch")
-        return cls(cells)
+        try:
+            return cls(cells)
+        except ConfigError as exc:
+            raise ConfigError(f"viability matrix {path}: {exc}")
 
 
 @dataclass(frozen=True)

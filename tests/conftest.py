@@ -217,11 +217,11 @@ def encoding_map():
 
 @pytest.fixture(scope="session")
 def templates():
-    from reconviz.charts import DRAWN_CHANNELS
+    from reconviz.charts import DRAWABLE
     from reconviz.config import DEFAULT_TEMPLATES
     from reconviz.chartspec import load_templates
 
-    return load_templates(DEFAULT_TEMPLATES, DRAWN_CHANNELS)
+    return load_templates(DEFAULT_TEMPLATES, DRAWABLE)
 
 
 @pytest.fixture(scope="session")

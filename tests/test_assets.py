@@ -96,11 +96,24 @@ class TestAssetFilesExitTwo:
         cfg = fig1_config(tmp_path, templates=json.dumps(templates).encode())
         assert_input_error(cfg, command, "templates.json", "array of objects")
 
+    def test_template_file_listing_no_template(self, tmp_path, command):
+        """Found by the property test: `specs` wrote no view and exited 0, and
+        `render --view 1` said `view 1 out of range (1..0)`."""
+        cfg = fig1_config(tmp_path, templates=b"[]")
+        assert_input_error(cfg, command, "templates.json", "non-empty JSON array")
+
     def test_template_slot_that_is_not_an_object(self, tmp_path, command):
         templates = shipped_json("templates")
         templates[1]["slots"][0] = "x"
         cfg = fig1_config(tmp_path, templates=json.dumps(templates).encode())
         assert_input_error(cfg, command, "templates.json", "slot objects")
+
+    def test_template_slot_required_given_as_a_string(self, tmp_path, command):
+        """`"required": "false"` was read as true."""
+        templates = shipped_json("templates")
+        templates[1]["slots"][2]["required"] = "false"
+        cfg = fig1_config(tmp_path, templates=json.dumps(templates).encode())
+        assert_input_error(cfg, command, "templates.json", "required is true or false")
 
     def test_template_slot_with_unknown_channel_names_the_file(self, tmp_path, command):
         templates = shipped_json("templates")
@@ -130,6 +143,14 @@ class TestAssetFilesExitTwo:
                           type_encodings=json.dumps(encodings).encode())
         assert_input_error(cfg, command, "templates.json", "'violin plot'")
         assert not (tmp_path / "out").exists()
+
+    def test_template_for_a_data_type_its_renderer_does_not_draw(self, tmp_path, command):
+        """A map template for tables put a map of a table into specs.json, and
+        drawing it ended in an AttributeError traceback."""
+        templates = shipped_json("templates")
+        next(t for t in templates if t["chart_type"] == "geographic map")["dtype"] = "tabular"
+        cfg = fig1_config(tmp_path, templates=json.dumps(templates).encode())
+        assert_input_error(cfg, command, "templates.json", "'geographic map' draws spatial data")
 
     def test_template_leaving_a_drawn_channel_optional(self, tmp_path, command):
         """A scatter chart bound only to color was written to specs.json, and
@@ -168,6 +189,14 @@ class TestInputFilesExitTwo:
         space = SHIPPED["design_space"].read_bytes() + row.encode() + b"\n"
         cfg = fig1_config(tmp_path, design_space=space)
         assert_input_error(cfg, ["relevance"], "must fit a float")
+
+    @pytest.mark.parametrize("col, cell, needle", [(2, "S", "not symmetric"),
+                                                   (1, "5", "bad value '5'")])
+    def test_viability_cell_error_names_the_file(self, tmp_path, col, cell, needle):
+        rows = list(csv.reader(io.StringIO(SHIPPED["viability_matrix"].read_text("utf-8"))))
+        rows[1][col] = cell
+        cfg = fig1_config(tmp_path, viability_matrix=_csv_bytes(rows))
+        assert_input_error(cfg, ["specs"], "viability_matrix.csv", needle)
 
     def test_dataset_path_that_is_a_directory(self, tmp_path):
         """An empty dataset path resolves to the config file's own directory,

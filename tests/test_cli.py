@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import reconviz
 from reconviz import charts, pipeline
-from reconviz.charts import DRAWN_CHANNELS
+from reconviz.charts import DRAWABLE
 from reconviz.cli import main
 from reconviz.chartspec import load_templates, slot_accepts
 from reconviz.config import ASSETS_DIR, RunConfig
@@ -623,7 +623,7 @@ class TestRobustness:
 
         fields, _ = explode_fields([load_dataset(tmp_path / "t.csv", "tabular", dataset_id="t")])
         by_name = {f.name: f for f in fields}
-        shipped = load_templates(ASSETS_DIR / "chart_templates.json", DRAWN_CHANNELS)
+        shipped = load_templates(ASSETS_DIR / "chart_templates.json", DRAWABLE)
         templates = {t.chart_type: t for t in shipped}
         for chart in view["charts"]:
             slots = {s.channel: s for s in templates[chart["chart_type"]].slots}

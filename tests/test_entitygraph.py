@@ -457,6 +457,25 @@ class TestFieldLookups:
             assert graph.link_class(source, name) == ("field", source, name)
             assert graph.link_class(source, name) not in known
 
+    @given(linked_graphs())
+    def test_spokes_are_a_hubs_fields_by_name(self, graph):
+        for ds in [*graph.hubs, "nowhere"]:
+            expected = sorted((f for f in graph.fields.values() if f.source_id == ds),
+                              key=lambda f: f.name)
+            assert graph.spokes(ds) == expected
+
+    @given(linked_graphs())
+    def test_lookups_leave_the_graph_as_built(self, graph):
+        """The link classes were computed on first lookup and stored then."""
+        built = dict(vars(graph))
+        for key in graph.fields:
+            graph.link_class(key[1], key[2])
+            graph.field(key[1], key[2])
+        for ds in graph.hubs:
+            graph.spokes(ds)
+        assert vars(graph).keys() == built.keys()
+        assert all(vars(graph)[name] is value for name, value in built.items())
+
 
 class TestRenderGraph:
     def test_empty_graph_yields_valid_svg(self):
