@@ -1,6 +1,8 @@
 """Byte-identity guard: sha256 digests of every CLI output (bar manifest.json,
 which records the output directory) for `link`, `graph`, `specs` and
-`render --view k` for every view k, on the Fig.-1 and synthetic fixtures.
+`render --view k` for every view k, on the Fig.-1 and synthetic fixtures,
+whose charts have tens of marks, and on the Ebola-scale fixture, whose tree,
+scatter and heatmap charts have about 1,600 marks each.
 
 The recorded digests live in golden_digests.json. A change that is meant to
 alter output re-records them by running this module as a script from the
@@ -21,7 +23,8 @@ from pathlib import Path
 
 from reconviz.cli import main
 
-from conftest import DATA_DIR, _write_synthetic, fig1_datasets, synthetic_manifest, write_config
+from conftest import (DATA_DIR, _write_ebola_scale, _write_synthetic, ebola_manifest, fig1_datasets,
+                      synthetic_manifest, write_config)
 
 GOLDEN = Path(__file__).parent / "golden_digests.json"
 
@@ -57,7 +60,11 @@ def all_digests(work: Path) -> dict[str, dict[str, dict[str, str]]]:
     _write_synthetic(synthetic)
     fig1 = work / "fig1_run"
     fig1.mkdir()
+    ebola = work / "ebola_scale"
+    ebola.mkdir()
+    _write_ebola_scale(ebola)
     return {
+        "ebola_scale": fixture_digests(ebola, ebola_manifest(ebola)),
         "fig1": fixture_digests(fig1, fig1_datasets(DATA_DIR / "fig1")),
         "synthetic": fixture_digests(synthetic, synthetic_manifest(synthetic)),
     }
