@@ -57,6 +57,19 @@ def _at(field: Field | None, row: int):
     return field.column[row]
 
 
+class _PerKey(dict):
+    """key -> make(key), each made on its first lookup: a renderer's
+    attribute suffix per category or base."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
 def _iso_day(value: str) -> str | None:
     try:
         return date.fromisoformat(value[:10]).isoformat()
@@ -166,17 +179,26 @@ def _axes(svg: SvgBuilder) -> None:
 
 
 def _ticks(svg: SvgBuilder, scale: LinearScale | BandScale, axis: str, max_labels: int = 20) -> None:
+    """Each tick's line, then its label if it has one: a run of unlabeled
+    ticks is written in one call."""
+    tick = svg.attrs(stroke=AXIS_COLOR, stroke_width=1)
+    run = []
     for pos, label in scale.tick_marks(max_labels):
         if axis == "x":
-            svg.line(pos, MARGIN_T + PLOT_H, pos, MARGIN_T + PLOT_H + 4, stroke=AXIS_COLOR, stroke_width=1)
-            if label is not None:
-                svg.text(pos, MARGIN_T + PLOT_H + 15, label, font_size=8, fill=AXIS_COLOR,
-                         text_anchor="middle", font_family="sans-serif", **{"class": "tick-x"})
+            run.append((pos, MARGIN_T + PLOT_H, pos, MARGIN_T + PLOT_H + 4, tick))
         else:
-            svg.line(MARGIN_L - 4, pos, MARGIN_L, pos, stroke=AXIS_COLOR, stroke_width=1)
-            if label is not None:
-                svg.text(MARGIN_L - 6, pos + 2.5, label, font_size=8, fill=AXIS_COLOR,
-                         text_anchor="end", font_family="sans-serif", **{"class": "tick-y"})
+            run.append((MARGIN_L - 4, pos, MARGIN_L, pos, tick))
+        if label is None:
+            continue
+        svg.lines(run)
+        run.clear()
+        if axis == "x":
+            svg.text(pos, MARGIN_T + PLOT_H + 15, label, font_size=8, fill=AXIS_COLOR,
+                     text_anchor="middle", font_family="sans-serif", **{"class": "tick-x"})
+        else:
+            svg.text(MARGIN_L - 6, pos + 2.5, label, font_size=8, fill=AXIS_COLOR,
+                     text_anchor="end", font_family="sans-serif", **{"class": "tick-y"})
+    svg.lines(run)
 
 
 def _clip(text: str, limit: int) -> str:
@@ -254,12 +276,14 @@ def _render_scatter(svg, spec, dataset, bound, graph):
     x, y, xs, ys = _xy_axes(svg, spec, bound)
     color = bound.get("color")
     palette = _palette_for(spec, color)
+    plain = svg.attrs(fill=MARK_COLOR, class_="mark")
+    colored = _PerKey(lambda cat: svg.attrs(fill=palette.get(cat, MARK_COLOR), data_category=cat,
+                                            class_="mark"))
+    marks = []
     for i, _, px, py in _xy_points(x, y, xs, ys):
-        attrs = {"fill": MARK_COLOR}
         cat = _at(color, i)
-        if cat is not None:
-            attrs = {"fill": palette.get(cat, MARK_COLOR), "data-category": cat}
-        svg.circle(px, py, 3, **attrs, **{"class": "mark"})
+        marks.append((px, py, 3, plain if cat is None else colored[cat]))
+    svg.circles(marks)
     if color is not None:
         _legend(svg, palette, sorted(palette))
     _axis_label(svg, spec, "x")
@@ -289,6 +313,7 @@ def _render_bar(svg, spec, dataset, bound, graph):
     _ticks(svg, xs, "x")
     _ticks(svg, ys, "y")
     width = xs.step * 0.7
+    bars = []
     for cat in domain:
         center = xs.position(cat)
         if center is None or counts[cat] == 0:
@@ -297,14 +322,15 @@ def _render_bar(svg, spec, dataset, bound, graph):
             base = MARGIN_T + PLOT_H
             for sub in sorted(stacks[cat]):
                 h = (MARGIN_T + PLOT_H) - ys(stacks[cat][sub])
-                svg.rect(center - width / 2, base - h, width, h,
-                         fill=palette.get(sub, MARK_COLOR), stroke="#ffffff", stroke_width=0.5,
-                         **{"class": "mark", "data-category": sub})
+                bars.append((center - width / 2, base - h, width, h,
+                             svg.attrs(fill=palette.get(sub, MARK_COLOR), stroke="#ffffff",
+                                       stroke_width=0.5, class_="mark", data_category=sub)))
                 base -= h
         else:
             h = (MARGIN_T + PLOT_H) - ys(counts[cat])
-            svg.rect(center - width / 2, MARGIN_T + PLOT_H - h, width, h, fill=MARK_COLOR,
-                     **{"class": "mark", "data-category": cat})
+            bars.append((center - width / 2, MARGIN_T + PLOT_H - h, width, h,
+                         svg.attrs(fill=MARK_COLOR, class_="mark", data_category=cat)))
+    svg.rects(bars)
     if color is not None:
         _legend(svg, palette, sorted(palette))
     _axis_label(svg, spec, "x")
@@ -329,12 +355,14 @@ def _render_histogram(svg, spec, dataset, bound, graph):
     _ticks(svg, xs, "x")
     _ticks(svg, ys, "y")
     bin_w = PLOT_W / HIST_BINS
+    mark = svg.attrs(fill=MARK_COLOR, class_="mark")
+    bars = []
     for i, count in enumerate(counts):
         if count == 0:
             continue
         h = (MARGIN_T + PLOT_H) - ys(count)
-        svg.rect(MARGIN_L + i * bin_w, MARGIN_T + PLOT_H - h, bin_w - 1, h, fill=MARK_COLOR,
-                 **{"class": "mark"})
+        bars.append((MARGIN_L + i * bin_w, MARGIN_T + PLOT_H - h, bin_w - 1, h, mark))
+    svg.rects(bars)
     _axis_label(svg, spec, "x")
 
 
@@ -391,11 +419,10 @@ def _render_heatmap(svg, spec, dataset, bound, graph):
     _ticks(svg, ys, "y", max_labels=30)
     # cells are drawn in the order of their labels, then of their keys
     cells = sorted(counts.items(), key=lambda c: (xs.labels[c[0][0]], ys.labels[c[0][1]], c[0]))
-    for (cx, cy), count in cells:
-        px, py = xs.position(cx), ys.position(cy)
-        ramp_idx = min(4, (5 * count - 1) // top)
-        svg.rect(px - xs.step / 2, py - ys.step / 2, xs.step, ys.step,
-                 fill=RAMP5[ramp_idx], **{"class": "mark"})
+    ramp = [svg.attrs(fill=color, class_="mark") for color in RAMP5]
+    svg.rects([(xs.position(cx) - xs.step / 2, ys.position(cy) - ys.step / 2, xs.step, ys.step,
+                ramp[min(4, (5 * count - 1) // top)])
+               for (cx, cy), count in cells])
     _axis_label(svg, spec, "x")
     _axis_label(svg, spec, "y")
 
@@ -465,28 +492,37 @@ def _render_tree(svg, spec, dataset, bound, graph):
             leaf_color = {i.strip(): v for i, v in zip(dataset_ids, color.column)}
 
     # Each branch's two lines, depth first, left to right: (parent x, y, child).
+    branch = svg.attrs(stroke=AXIS_COLOR, stroke_width=1)
+    lines = []
     nx, ny = coords[id(root)]
     branches = [(nx, ny, child) for child in reversed(root.children)]
     while branches:
         nx, ny, child = branches.pop()
         cx, cy = coords[id(child)]
         px = xs(nx)
-        svg.line(px, ny, px, cy, stroke=AXIS_COLOR, stroke_width=1)
-        svg.line(px, cy, xs(cx), cy, stroke=AXIS_COLOR, stroke_width=1)
+        lines.append((px, ny, px, cy, branch))
+        lines.append((px, cy, xs(cx), cy, branch))
         for grandchild in reversed(child.children):
             branches.append((cx, cy, grandchild))
+    svg.lines(lines)
     show_labels = len(leaves) <= MAX_LEAF_LABELS
-    # emit leaf marks top-to-bottom so document order matches the domain order
+    leaf_mark = _PerKey(lambda cat: svg.attrs(fill=palette.get(cat, MARK_COLOR), class_="mark",
+                                              data_category=cat))
+    # emit leaf marks top-to-bottom so document order matches the domain order;
+    # a run of marks is written in one call, before the next label
+    marks = []
     for leaf in sorted(root.leaf_order, key=lambda lf: coords[id(lf)][1]):
         lx, ly = coords[id(leaf)]
         label = (leaf.name or "").strip()
         cat = leaf_color.get(label)
         if cat is not None:
-            svg.circle(xs(lx) + 3, ly, 2.5, fill=palette.get(cat, MARK_COLOR),
-                       **{"class": "mark", "data-category": cat})
+            marks.append((xs(lx) + 3, ly, 2.5, leaf_mark[cat]))
         if show_labels:
+            svg.circles(marks)
+            marks.clear()
             svg.text(xs(lx) + 8, ly + 2.5, _clip(label, 12), font_size=8, fill=TEXT_COLOR,
                      font_family="sans-serif", **{"class": "tick-y"})
+    svg.circles(marks)
     if color is not None:
         _legend(svg, palette, sorted(palette))
 
@@ -580,16 +616,15 @@ def _render_alignment(svg, spec, dataset, bound, graph):
     cell_w = (PLOT_W - 60) / n_pos
     cell_h = min(14.0, PLOT_H / rows)
     show_labels = rows <= MAX_LEAF_LABELS
+    cell = _PerKey(lambda base: svg.attrs(fill=BASE_COLORS.get(base, "#bbbbbb"), class_="mark"))
     for i, (rec_id, seq) in enumerate(records):
         y = MARGIN_T + i * cell_h
         if show_labels:
             svg.text(MARGIN_L - 4, y + cell_h * 0.75, _clip(rec_id, 10), font_size=7,
                      fill=TEXT_COLOR, text_anchor="end", font_family="sans-serif",
                      **{"class": "tick-y"})
-        for j in range(min(n_pos, len(seq))):
-            base = seq[j].upper()
-            svg.rect(MARGIN_L + j * cell_w, y, cell_w, cell_h - 1,
-                     fill=BASE_COLORS.get(base, "#bbbbbb"), **{"class": "mark"})
+        svg.rects([(MARGIN_L + j * cell_w, y, cell_w, cell_h - 1, cell[seq[j].upper()])
+                   for j in range(min(n_pos, len(seq)))])
 
 
 def _render_image(svg, spec, dataset, bound, graph):
@@ -613,17 +648,25 @@ def _render_node_link(svg, spec, dataset, bound, graph):
     for i, node in enumerate(nodes):
         angle = 2 * math.pi * i / max(1, len(nodes)) - math.pi / 2
         pos[node] = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+    edge = svg.attrs(stroke="#999999", stroke_width=0.8)
+    edges = []
     for row in dataset.payload.rows:
         a, b = row[0].strip(), row[1].strip()
         if a in pos and b in pos:
-            svg.line(*pos[a], *pos[b], stroke="#999999", stroke_width=0.8)
+            edges.append((*pos[a], *pos[b], edge))
+    svg.lines(edges)
     show_labels = len(nodes) <= 24
+    mark = svg.attrs(fill=MARK_COLOR, class_="mark")
+    marks = []
     for node in nodes:
         x, y = pos[node]
-        svg.circle(x, y, 3.5, fill=MARK_COLOR, **{"class": "mark"})
+        marks.append((x, y, 3.5, mark))
         if show_labels:
+            svg.circles(marks)
+            marks.clear()
             svg.text(x, y - 6, _clip(node, 8), font_size=7, fill=AXIS_COLOR,
                      text_anchor="middle", font_family="sans-serif")
+    svg.circles(marks)
 
 
 # chart type -> (renderer, the data type whose payload it reads or None when

@@ -119,6 +119,13 @@ def _assemble(config: RunConfig, view_limit: int | None = None):
     return assembly
 
 
+def _no_views_reason(assembly) -> str:
+    """Why `assembly` holds no view."""
+    if not assembly.ranked:
+        return "no dataset yields a field, so there is no path to draw"
+    return f"no chart template fits any dataset on the {len(assembly.ranked)} ranked paths"
+
+
 def cmd_link(config: RunConfig) -> int:
     datasets = config.load_datasets()
     metadata, graph = build_graph(datasets, config.min_jaccard)
@@ -143,6 +150,8 @@ def cmd_specs(config: RunConfig) -> int:
     from .ranking import ranked_paths_json
 
     assembly = _assemble(config)
+    if not assembly.views:
+        print(f"warning: no view was built: {_no_views_reason(assembly)}", file=sys.stderr)
     _write(config.out_dir / "specs.json", assembly.views_json())
     _write(config.out_dir / "paths.json", ranked_paths_json(assembly.ranked))
     _write_manifest(config, "specs")
@@ -151,6 +160,10 @@ def cmd_specs(config: RunConfig) -> int:
 
 def cmd_render(config: RunConfig, view_index: int) -> int:
     assembly = _assemble(config, view_index)
+    if not assembly.views:
+        print(f"error: there are no views to render: {_no_views_reason(assembly)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if view_index < 1 or view_index > len(assembly.views):
         print(
             f"error: view {view_index} out of range (1..{len(assembly.views)})",

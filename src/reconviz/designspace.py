@@ -109,19 +109,22 @@ def relevance_from_space(space: PrevalenceDesignSpace, decay: float = DEFAULT_DE
 @dataclass(frozen=True)
 class TypeEncodingMap:
     candidates: dict[str, tuple[str, ...]]  # data type -> chart types
+    path: str | Path | None = None  # the file it was read from, named in errors
+
+    def _name(self) -> str:
+        return "encoding map" if self.path is None else f"encoding map {self.path}"
 
     def charts_for(self, dtype: str) -> tuple[str, ...]:
         if not self.candidates.get(dtype):
-            raise UnmappedDataType(f"encoding map lists no chart type for data type {dtype!r}")
+            raise UnmappedDataType(f"{self._name()} lists no chart type for data type {dtype!r}")
         return self.candidates[dtype]
 
     def validate_against(self, table: RelevanceTable) -> None:
         for dtype, charts in sorted(self.candidates.items()):
             for chart in charts:
                 if chart not in table.scaled:
-                    raise ConfigError(
-                        f"encoding map lists {chart!r} for {dtype} but the design space has no such chart type"
-                    )
+                    raise ConfigError(f"{self._name()} lists {chart!r} for {dtype} but the "
+                                      "design space has no such chart type")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TypeEncodingMap":
@@ -131,4 +134,4 @@ class TypeEncodingMap:
                 for charts in doc.values()):
             raise ConfigError(f"encoding map {path} must be a JSON object mapping each data type "
                               "to a list of chart type names")
-        return cls({dtype: tuple(charts) for dtype, charts in sorted(doc.items())})
+        return cls({dtype: tuple(charts) for dtype, charts in sorted(doc.items())}, path)

@@ -372,18 +372,14 @@ def render_entity_graph(graph: EntityGraph) -> str:
     svg = SvgBuilder(size, size)
     svg.rect(0, 0, size, size, fill="#ffffff")
 
-    for key, field in graph.fields.items():
-        hx, hy = positions[hub_key(field.source_id)]
-        sx, sy = positions[key]
-        svg.line(hx, hy, sx, sy, stroke="#b0b0b0", stroke_width=1, **{"class": "source-edge"})
-    for (a, b), weight in graph.links.items():
-        ax, ay = positions[a]
-        bx, by = positions[b]
-        if weight == 1:
-            svg.line(ax, ay, bx, by, stroke="#2b2b2b", stroke_width=3, **{"class": "link-exact"})
-        else:
-            svg.line(ax, ay, bx, by, stroke="#2b2b2b", stroke_width=1.5,
-                     stroke_dasharray="6 4", **{"class": "link-inexact"})
+    spoke = svg.attrs(stroke="#b0b0b0", stroke_width=1, class_="source-edge")
+    svg.lines([(*positions[hub_key(field.source_id)], *positions[key], spoke)
+               for key, field in graph.fields.items()])
+    exact = svg.attrs(stroke="#2b2b2b", stroke_width=3, class_="link-exact")
+    inexact = svg.attrs(stroke="#2b2b2b", stroke_width=1.5, stroke_dasharray="6 4",
+                        class_="link-inexact")
+    svg.lines([(*positions[a], *positions[b], exact if weight == 1 else inexact)
+               for (a, b), weight in graph.links.items()])
 
     for ds_id in hub_ids:
         x, y = positions[hub_key(ds_id)]

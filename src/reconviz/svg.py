@@ -4,7 +4,9 @@ Numbers are formatted with fixed precision and a '.' decimal separator so
 output is byte-identical across platforms and locales. An int or float is
 written as an attribute value without an escaping pass: `fmt` gives it as
 digits, `-`, `.`, `inf` or `nan` (a bool as `True` or `False`). Each builder
-formats a repeated float, and a repeated set of extra attributes, once.
+formats a repeated number, and a repeated set of extra attributes, once.
+A renderer that draws a run of marks builds each distinct attribute suffix
+once with `attrs` and hands the whole run to `lines`, `rects` or `circles`.
 """
 
 from __future__ import annotations
@@ -44,10 +46,23 @@ def fmt(value: float | int) -> str:
     return text if text != "-0" else "0"
 
 
+class _Formatted(dict):
+    """value -> `fmt(value)`, each value formatted once: about 3 in 4
+    coordinates of a chart repeat (grid lines, bars on one baseline, a tree's
+    shared branch ends). Values equal to 0 or 1 are never stored, because a
+    dict cannot tell them from `False` and `True`, which print as words."""
+
+    def __missing__(self, value):
+        text = fmt(value)
+        if value != 0 and value != 1:
+            self[value] = text
+        return text
+
+
 class SvgBuilder:
     """Accumulates SVG elements; render() emits the complete document.
 
-    One builder draws one fragment, so its caches of formatted floats and
+    One builder draws one fragment, so its caches of formatted numbers and
     attribute suffixes live exactly as long as that fragment's builder.
     """
 
@@ -55,23 +70,14 @@ class SvgBuilder:
         self.width = width
         self.height = height
         self._parts: list[str] = []
-        self._floats: dict[float, str] = {}
+        self._numbers: dict[float | int, str] = _Formatted()
         self._suffixes: dict[tuple, str] = {}
 
-    def _fmt(self, value: float | int) -> str:
-        # about 3 in 4 float coordinates of a chart repeat (grid lines, bars
-        # on one baseline, a tree's shared branch ends)
-        if value.__class__ is not float:
-            return fmt(value)
-        text = self._floats.get(value)
-        if text is None:
-            text = self._floats[value] = fmt(value)
-        return text
-
-    def _attrs(self, attrs: dict) -> str:
+    def attrs(self, **attrs) -> str:
         """` name="value"` for each attribute that is not None; a keyword's
         trailing `_` is dropped (`class_`) and each inner `_` becomes `-`.
-        The cache key holds each value's type, so `True` and `1` stay apart."""
+        The suffix is built once per distinct attribute set and then reused;
+        the cache key holds each value's type, so `True` and `1` stay apart."""
         if not attrs:
             return ""
         key = (tuple(attrs.items()), tuple(map(type, attrs.values())))
@@ -83,7 +89,7 @@ class SvgBuilder:
                     continue
                 name = keyword.rstrip("_").replace("_", "-")
                 if isinstance(value, (int, float)):
-                    parts.append(f' {name}="{self._fmt(value)}"')
+                    parts.append(f' {name}="{self._numbers[value]}"')
                 else:
                     parts.append(f" {name}={quoteattr(str(value))}")
             suffix = self._suffixes[key] = "".join(parts)
@@ -93,50 +99,69 @@ class SvgBuilder:
         self._parts.append(text)
 
     def open_group(self, **attrs) -> None:
-        self._parts.append(f"<g{self._attrs(attrs)}>")
+        self._parts.append(f"<g{self.attrs(**attrs)}>")
 
     def close_group(self) -> None:
         self._parts.append("</g>")
 
+    # The bulk writers take (coordinates..., suffix) tuples, where the suffix
+    # comes from `attrs`, and write one element per tuple, in order.
+
+    def rects(self, marks) -> None:
+        """One `<rect>` per (x, y, width, height, suffix)."""
+        f = self._numbers
+        self._parts.extend([
+            f'<rect x="{f[x]}" y="{f[y]}" width="{f[w]}" height="{f[h]}"{suffix}/>'
+            for x, y, w, h, suffix in marks
+        ])
+
+    def circles(self, marks) -> None:
+        """One `<circle>` per (cx, cy, r, suffix)."""
+        f = self._numbers
+        self._parts.extend([
+            f'<circle cx="{f[cx]}" cy="{f[cy]}" r="{f[r]}"{suffix}/>' for cx, cy, r, suffix in marks
+        ])
+
+    def lines(self, marks) -> None:
+        """One `<line>` per (x1, y1, x2, y2, suffix)."""
+        f = self._numbers
+        self._parts.extend([
+            f'<line x1="{f[x1]}" y1="{f[y1]}" x2="{f[x2]}" y2="{f[y2]}"{suffix}/>'
+            for x1, y1, x2, y2, suffix in marks
+        ])
+
     def rect(self, x, y, w, h, **attrs) -> None:
-        f = self._fmt
-        self._parts.append(
-            f'<rect x="{f(x)}" y="{f(y)}" width="{f(w)}" height="{f(h)}"{self._attrs(attrs)}/>'
-        )
+        self.rects([(x, y, w, h, self.attrs(**attrs))])
 
     def circle(self, cx, cy, r, **attrs) -> None:
-        f = self._fmt
-        self._parts.append(f'<circle cx="{f(cx)}" cy="{f(cy)}" r="{f(r)}"{self._attrs(attrs)}/>')
+        self.circles([(cx, cy, r, self.attrs(**attrs))])
 
     def line(self, x1, y1, x2, y2, **attrs) -> None:
-        f = self._fmt
-        self._parts.append(
-            f'<line x1="{f(x1)}" y1="{f(y1)}" x2="{f(x2)}" y2="{f(y2)}"{self._attrs(attrs)}/>'
-        )
+        self.lines([(x1, y1, x2, y2, self.attrs(**attrs))])
 
     def _points(self, points) -> str:
-        f = self._fmt
-        return " ".join(f"{f(x)},{f(y)}" for x, y in points)
+        f = self._numbers
+        return " ".join(f"{f[x]},{f[y]}" for x, y in points)
 
     def polyline(self, points, **attrs) -> None:
         self._parts.append(
-            f'<polyline points="{self._points(points)}" fill="none"{self._attrs(attrs)}/>'
+            f'<polyline points="{self._points(points)}" fill="none"{self.attrs(**attrs)}/>'
         )
 
     def polygon(self, points, **attrs) -> None:
-        self._parts.append(f'<polygon points="{self._points(points)}"{self._attrs(attrs)}/>')
+        self._parts.append(f'<polygon points="{self._points(points)}"{self.attrs(**attrs)}/>')
 
     def text(self, x, y, content, **attrs) -> None:
-        f = self._fmt
+        f = self._numbers
         self._parts.append(
-            f'<text x="{f(x)}" y="{f(y)}"{self._attrs(attrs)}>{escape(str(content))}</text>'
+            f'<text x="{f[x]}" y="{f[y]}"{self.attrs(**attrs)}>{escape(str(content))}</text>'
         )
 
     def image(self, x, y, w, h, href: str, **attrs) -> None:
-        f = self._fmt
+        f = self._numbers
         self._parts.append(
-            f'<image x="{f(x)}" y="{f(y)}" width="{f(w)}" height="{f(h)}" '
-            f"xlink:href={quoteattr(href)}{self._attrs(attrs)}/>"
+            f'<image x="{f[x]}" y="{f[y]}" width="{f[w]}" height="{f[h]}" '
+            f"xlink:href={quoteattr(href)}{self.attrs(**attrs)}/>"
         )
 
     def metadata(self, content: str) -> None:

@@ -175,10 +175,19 @@ class TestInputFilesExitTwo:
 
     def test_encoding_map_listing_no_chart_type_for_a_data_type(self, tmp_path):
         """Found by the property test: ranking took the maximum over an empty
-        list and the run ended in a ValueError traceback."""
+        list and the run ended in a ValueError traceback. Then the message
+        named the data type but not the map file."""
         encodings = {**shipped_json("type_encodings"), "tabular": []}
         cfg = fig1_config(tmp_path, type_encodings=json.dumps(encodings).encode())
-        assert_input_error(cfg, ["specs"], "no chart type for data type 'tabular'")
+        assert_input_error(cfg, ["specs"], "type_encodings.json",
+                           "no chart type for data type 'tabular'")
+
+    def test_encoding_map_leaving_out_a_data_type_in_use_names_the_file(self, tmp_path):
+        encodings = shipped_json("type_encodings")
+        del encodings["tree"]
+        cfg = fig1_config(tmp_path, type_encodings=json.dumps(encodings).encode())
+        assert_input_error(cfg, ["specs"], "type_encodings.json",
+                           "no chart type for data type 'tree'")
 
     @pytest.mark.parametrize("row", ["bar chart,2020,1" + "0" * 400,
                                      "bar chart,-1" + "0" * 400 + ",5"],
@@ -208,6 +217,22 @@ class TestInputFilesExitTwo:
         """Writing under an existing file ended in a FileExistsError traceback."""
         cfg = write_config(tmp_path, fig1_datasets(FIG1), out_dir="config.json")
         assert_input_error(cfg, ["specs"], "config.json")
+
+
+class TestRunWithNoViews:
+    def test_templates_that_fit_no_dataset_say_there_is_no_view(self, tmp_path):
+        """`specs` wrote an empty view list without a word, and `render`
+        said `view 1 out of range (1..0)`."""
+        node_link = [t for t in shipped_json("templates") if t["chart_type"] == "node-link"]
+        cfg = fig1_config(tmp_path, templates=json.dumps(node_link).encode())
+        code, err = run_quietly(["specs", "--config", cfg])
+        assert code == 0, err
+        assert json.loads((tmp_path / "out" / "specs.json").read_text(encoding="utf-8")) == []
+        assert "warning: no view was built: no chart template fits any dataset" in err, err
+        code, err = run_quietly(["render", "--view", "1", "--config", cfg])
+        assert code == 3, err
+        assert "no views to render" in err and "no chart template fits" in err, err
+        assert "out of range" not in err
 
 
 # -- generated asset and config files ------------------------------------------

@@ -250,3 +250,39 @@ class TestBuilderMatchesFrozenWriter:
             '<circle cx="0" cy="0" r="0" stroke-width="0"/>',
             '<circle cx="True" cy="True" r="True" stroke-width="True"/>',
         ]
+
+
+# bulk writer -> (the one-element method it stands for, coordinates per mark)
+BULK = {"lines": ("line", 4), "rects": ("rect", 4), "circles": ("circle", 3)}
+
+
+@st.composite
+def mark_runs(draw):
+    """(bulk writer, [(coordinates, attrs), ...]) runs whose numbers and
+    attribute dicts are drawn partly from small pools, so that they repeat;
+    attribute values put `True` next to `1`, `1.0` and `0`."""
+    numbers = st.one_of(st.sampled_from(draw(st.lists(_NUMBERS, min_size=1, max_size=4))),
+                        _NUMBERS)
+    values = st.one_of(st.none(), st.sampled_from([True, 1, 1.0, False, 0]), numbers, _TEXT)
+    attr_dicts = st.dictionaries(_KEYS, values, max_size=4)
+    attrs = st.one_of(st.sampled_from(draw(st.lists(attr_dicts, min_size=1, max_size=3))),
+                      attr_dicts)
+    runs = []
+    for writer in draw(st.lists(st.sampled_from(sorted(BULK)), max_size=5)):
+        coords = st.tuples(*[numbers] * BULK[writer][1])
+        runs.append((writer, draw(st.lists(st.tuples(coords, attrs), max_size=6))))
+    return runs
+
+
+class TestBulkWritersMatchFrozenWriter:
+    @given(mark_runs())
+    def test_each_run_gives_the_bytes_of_one_call_per_mark(self, runs):
+        # the runs twice in one builder (its caches are hit), then once in a
+        # second builder, which starts with empty caches
+        for times in (2, 1):
+            got, want = SvgBuilder(1, 1), FrozenSvgBuilder(1, 1)
+            for writer, marks in runs * times:
+                getattr(got, writer)((*coords, got.attrs(**attrs)) for coords, attrs in marks)
+                for coords, attrs in marks:
+                    getattr(want, BULK[writer][0])(*coords, **attrs)
+            assert got.body() == want.body()
