@@ -15,7 +15,6 @@ bar chart's category axis wants low-cardinality fields, for example).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .designspace import RelevanceTable
@@ -29,28 +28,28 @@ DEFAULT_COLOR_CARD_LIMIT = 12
 DEFAULT_HIGHCARD_THRESHOLD = 12
 
 
-@dataclass(frozen=True)
 class EncodingSlot:
-    channel: str
-    constraint: str = "any"
-    required: bool = False
+    __slots__ = ("channel", "constraint", "required")
 
-    def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ConfigError(f"unknown channel {self.channel!r}")
-        if self.constraint not in CONSTRAINTS:
-            raise ConfigError(f"unknown constraint {self.constraint!r}")
+    def __init__(self, channel: str, constraint: str = "any", required: bool = False):
+        if channel not in CHANNELS:
+            raise ConfigError(f"unknown channel {channel!r}")
+        if constraint not in CONSTRAINTS:
+            raise ConfigError(f"unknown constraint {constraint!r}")
+        self.channel = channel
+        self.constraint = constraint
+        self.required = required
 
 
-@dataclass(frozen=True)
 class ChartTemplate:
-    chart_type: str
-    dtype: str
-    slots: tuple[EncodingSlot, ...]
+    __slots__ = ("chart_type", "dtype", "slots")
 
-    def __post_init__(self):
-        if not any(slot.required for slot in self.slots):
-            raise ConfigError(f"template {self.chart_type!r} has no required slot")
+    def __init__(self, chart_type: str, dtype: str, slots: tuple[EncodingSlot, ...]):
+        if not any(slot.required for slot in slots):
+            raise ConfigError(f"template {chart_type!r} has no required slot")
+        self.chart_type = chart_type
+        self.dtype = dtype
+        self.slots = slots
 
 
 def _is_template(item) -> bool:
@@ -160,29 +159,46 @@ def assign_field_to_slot(
     return Binding(field.name, field.source_id)
 
 
-@dataclass(frozen=True)
 class Binding:
-    field: str
-    source: str
+    __slots__ = ("field", "source")
+
+    def __init__(self, field: str, source: str):
+        self.field = field
+        self.source = source
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.source) == (other.field, other.source)
 
     def key(self) -> tuple[str, str]:
         return (self.source, self.field)
 
 
-@dataclass
 class ChartSpec:
-    id: str
-    chart_type: str
-    dataset_id: str
-    dtype: str
-    relevance: float
-    bindings: dict[str, Binding]
-    required_channels: tuple[str, ...]
-    annotations: dict = dc_field(default_factory=dict)
-    # Whether x and y are both bound and each field would still pass the
-    # template's slot on the other channel; decided when the spec is
-    # generated, not serialized.
-    swappable: bool = True
+    __slots__ = ("id", "chart_type", "dataset_id", "dtype", "relevance", "bindings",
+                 "required_channels", "annotations", "swappable")
+
+    def __init__(self, id: str, chart_type: str, dataset_id: str, dtype: str, relevance: float,
+                 bindings: dict[str, Binding], required_channels: tuple[str, ...],
+                 annotations: dict | None = None, swappable: bool = True):
+        self.id = id
+        self.chart_type = chart_type
+        self.dataset_id = dataset_id
+        self.dtype = dtype
+        self.relevance = relevance
+        self.bindings = bindings
+        self.required_channels = required_channels
+        self.annotations = {} if annotations is None else annotations
+        # Whether x and y are both bound and each field would still pass the
+        # template's slot on the other channel; decided when the spec is
+        # generated, not serialized.
+        self.swappable = swappable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def positional_bindings(self) -> dict[str, Binding]:
         return {ch: b for ch, b in self.bindings.items() if ch in ("x", "y")}

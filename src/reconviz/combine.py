@@ -16,8 +16,8 @@ linked field.
 
 `build_plan` makes every alignment decision (members, lead, axis, each
 member's shared-field binding, shared domain, palettes), looking fields and
-linkage classes up in the entity graph, and returns a frozen plan;
-`bind_alignment` only applies that plan to the specs.
+linkage classes up in the entity graph, and returns the plan, which nothing
+changes after; `bind_alignment` only applies that plan to the specs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -87,16 +86,21 @@ class ViabilityMatrix:
             raise ConfigError(f"viability matrix {path}: {exc}")
 
 
-@dataclass(frozen=True)
 class SpatialGroup:
-    member_ids: list[str]
-    lead_id: str
-    shared_field: str  # qualified name of the lead's bound field
-    axis: str  # "x" | "y": the channel carrying the shared field in every member
-    domain: list | None = None  # categorical order, or [lo, hi] for numeric
-    # member id -> the binding of its shared field; not serialized
-    shared_bindings: dict[str, Binding] = dc_field(default_factory=dict)
-    numeric: bool = False  # domain is [lo, hi] rather than a category order; not serialized
+    __slots__ = ("member_ids", "lead_id", "shared_field", "axis", "domain", "shared_bindings",
+                 "numeric")
+
+    def __init__(self, member_ids: list[str], lead_id: str, shared_field: str, axis: str,
+                 domain: list | None = None, shared_bindings: dict[str, Binding] | None = None,
+                 numeric: bool = False):
+        self.member_ids = member_ids
+        self.lead_id = lead_id
+        self.shared_field = shared_field  # qualified name of the lead's bound field
+        self.axis = axis  # "x" | "y": the channel carrying the shared field in every member
+        self.domain = domain  # categorical order, or [lo, hi] for numeric
+        # member id -> the binding of its shared field; not serialized
+        self.shared_bindings = {} if shared_bindings is None else shared_bindings
+        self.numeric = numeric  # domain is [lo, hi] rather than a category order; not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -108,11 +112,13 @@ class SpatialGroup:
         }
 
 
-@dataclass(frozen=True)
 class ColorGroup:
-    member_ids: list[str]
-    shared_field: str
-    palette: dict[str, str]
+    __slots__ = ("member_ids", "shared_field", "palette")
+
+    def __init__(self, member_ids: list[str], shared_field: str, palette: dict[str, str]):
+        self.member_ids = member_ids
+        self.shared_field = shared_field
+        self.palette = palette
 
     def to_dict(self) -> dict:
         return {
@@ -122,12 +128,15 @@ class ColorGroup:
         }
 
 
-@dataclass(frozen=True)
 class CombinationPlan:
-    spatial: SpatialGroup | None
-    color_groups: list[ColorGroup]
-    unaligned: list[str]
-    seed: int = 0
+    __slots__ = ("spatial", "color_groups", "unaligned", "seed")
+
+    def __init__(self, spatial: SpatialGroup | None, color_groups: list[ColorGroup],
+                 unaligned: list[str], seed: int = 0):
+        self.spatial = spatial
+        self.color_groups = color_groups
+        self.unaligned = unaligned
+        self.seed = seed
 
     def to_dict(self) -> dict:
         return {
@@ -321,7 +330,9 @@ def bind_alignment(specs: list[ChartSpec], plan: CombinationPlan) -> list[ChartS
     linkage class, so rebinding already-bound specs yields identical output.
     """
     out = {
-        spec.id: replace(spec, bindings=dict(spec.bindings), annotations=dict(spec.annotations))
+        spec.id: ChartSpec(spec.id, spec.chart_type, spec.dataset_id, spec.dtype, spec.relevance,
+                           dict(spec.bindings), spec.required_channels, dict(spec.annotations),
+                           spec.swappable)
         for spec in specs
     }
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .chartspec import DEFAULT_COLOR_CARD_LIMIT, DEFAULT_HIGHCARD_THRESHOLD
@@ -60,33 +59,45 @@ CONFIG_KEYS = {
 ASSET_FIELDS = ("design_space", "type_encodings", "viability_matrix", "templates")
 
 
-@dataclass(frozen=True)
 class ManifestEntry:
-    id: str
-    path: Path
-    dtype: str
-    associated: Path | None = None
+    __slots__ = ("id", "path", "dtype", "associated")
+
+    def __init__(self, id: str, path: Path, dtype: str, associated: Path | None = None):
+        self.id = id
+        self.path = path
+        self.dtype = dtype
+        self.associated = associated
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    datasets: tuple[ManifestEntry, ...] = ()
-    design_space: Path = DEFAULT_DESIGN_SPACE
-    type_encodings: Path = DEFAULT_ENCODING_MAP
-    viability_matrix: Path = DEFAULT_VIABILITY
-    templates: Path = DEFAULT_TEMPLATES
-    user_fields: tuple[str, ...] = ()
-    min_jaccard: float = DEFAULT_MIN_JACCARD
-    decay: float = DEFAULT_DECAY
-    highcard_threshold: int = DEFAULT_HIGHCARD_THRESHOLD
-    color_card_limit: int = DEFAULT_COLOR_CARD_LIMIT
-    max_charts: int = 5
-    max_views_per_component: int = 10
-    seed: int = 0
-    out_dir: Path = Path("out")
+    __slots__ = ("datasets", "design_space", "type_encodings", "viability_matrix", "templates",
+                 "user_fields", "min_jaccard", "decay", "highcard_threshold", "color_card_limit",
+                 "max_charts", "max_views_per_component", "seed", "out_dir")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        datasets: tuple[ManifestEntry, ...] = (),
+        design_space: Path = DEFAULT_DESIGN_SPACE,
+        type_encodings: Path = DEFAULT_ENCODING_MAP,
+        viability_matrix: Path = DEFAULT_VIABILITY,
+        templates: Path = DEFAULT_TEMPLATES,
+        user_fields: tuple[str, ...] = (),
+        min_jaccard: float = DEFAULT_MIN_JACCARD,
+        decay: float = DEFAULT_DECAY,
+        highcard_threshold: int = DEFAULT_HIGHCARD_THRESHOLD,
+        color_card_limit: int = DEFAULT_COLOR_CARD_LIMIT,
+        max_charts: int = 5,
+        max_views_per_component: int = 10,
+        seed: int = 0,
+        out_dir: Path = Path("out"),
+    ):
+        given = locals()
+        for name in self.__slots__:
+            object.__setattr__(self, name, given[name])
         self.validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: a RunConfig is frozen")
 
     def validate(self) -> None:
         # an empty manifest is legal: it yields an empty graph and no views

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (AllZeroCounts, ConfigError, EmptyDesignSpace, UnmappedDataType,
@@ -21,16 +20,16 @@ SCALE_TOP = 10.0
 SCALE_FLOOR = 1.0
 
 
-@dataclass(frozen=True)
 class PrevalenceDesignSpace:
-    entries: tuple[tuple[str, int, int], ...]  # (chart_type, year, count)
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        keys = [(chart, year) for chart, year, _ in self.entries]
+    def __init__(self, entries: tuple[tuple[str, int, int], ...]):
+        keys = [(chart, year) for chart, year, _ in entries]
         if len(set(keys)) != len(keys):
             raise ConfigError("duplicate (chart_type, year) entry in design space")
-        if any(count < 0 for _, _, count in self.entries):
+        if any(count < 0 for _, _, count in entries):
             raise ConfigError("negative count in design space")
+        self.entries = entries  # (chart_type, year, count)
 
     @property
     def year_max(self) -> int:
@@ -71,10 +70,12 @@ def raw_relevance(space: PrevalenceDesignSpace, decay: float = DEFAULT_DECAY) ->
     return dict(sorted(totals.items()))
 
 
-@dataclass(frozen=True)
 class RelevanceTable:
-    raw: dict[str, float]
-    scaled: dict[str, float]
+    __slots__ = ("raw", "scaled")
+
+    def __init__(self, raw: dict[str, float], scaled: dict[str, float]):
+        self.raw = raw
+        self.scaled = scaled
 
     def score(self, chart_type: str) -> float:
         return self.scaled[chart_type]
@@ -106,10 +107,12 @@ def relevance_from_space(space: PrevalenceDesignSpace, decay: float = DEFAULT_DE
     return scaled_relevance(raw_relevance(space, decay))
 
 
-@dataclass(frozen=True)
 class TypeEncodingMap:
-    candidates: dict[str, tuple[str, ...]]  # data type -> chart types
-    path: str | Path | None = None  # the file it was read from, named in errors
+    __slots__ = ("candidates", "path")
+
+    def __init__(self, candidates: dict[str, tuple[str, ...]], path: str | Path | None = None):
+        self.candidates = candidates  # data type -> chart types
+        self.path = path  # the file it was read from, named in errors
 
     def _name(self) -> str:
         return "encoding map" if self.path is None else f"encoding map {self.path}"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptySet
@@ -45,14 +44,18 @@ def spoke_key(field: Field) -> NodeKey:
     return (SPOKE, field.source_id, field.name)
 
 
-@dataclass(frozen=True)
 class LinkEdge:
-    a: NodeKey
-    b: NodeKey
-    weight: Fraction
+    __slots__ = ("a", "b", "weight")
 
-    def key(self) -> tuple[NodeKey, NodeKey]:
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+    def __init__(self, a: NodeKey, b: NodeKey, weight: Fraction):
+        self.a = a
+        self.b = b
+        self.weight = weight
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.weight) == (other.a, other.b, other.weight)
 
 
 class EntityGraph:
@@ -184,15 +187,21 @@ def build_entity_graph(
     return EntityGraph(hubs, spokes, links)
 
 
-@dataclass(frozen=True)
 class GraphPath:
-    nodes: tuple[NodeKey, ...]
-    hubs: tuple[str, ...]  # dataset ids, in path order
-    link_edges: tuple[LinkEdge, ...]
-    component_id: int
+    __slots__ = ("nodes", "hubs", "link_edges", "component_id")
 
-    def identity(self) -> tuple:
-        return (frozenset(self.hubs), frozenset(e.key() for e in self.link_edges))
+    def __init__(self, nodes: tuple[NodeKey, ...], hubs: tuple[str, ...],
+                 link_edges: tuple[LinkEdge, ...], component_id: int):
+        self.nodes = nodes
+        self.hubs = hubs  # dataset ids, in path order
+        self.link_edges = link_edges
+        self.component_id = component_id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nodes, self.hubs, self.link_edges, self.component_id)
+                == (other.nodes, other.hubs, other.link_edges, other.component_id))
 
     def describe(self) -> dict:
         return {

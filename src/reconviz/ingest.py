@@ -17,7 +17,6 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from pathlib import Path
 
@@ -53,10 +52,12 @@ def extent(values: list[float]) -> tuple[float, float]:
     return (min(values), max(values)) if values else (0.0, 1.0)
 
 
-@dataclass(frozen=True)
 class Table:
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple[str, ...], rows: tuple[tuple[str, ...], ...]):
+        self.columns = columns
+        self.rows = rows
 
     def column(self, name: str) -> list[str]:
         idx = self.columns.index(name)
@@ -64,14 +65,16 @@ class Table:
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
-        return {name: [row[i] for row in self.rows] for i, name in enumerate(self.columns)}
+        return dict(zip(self.columns, map(list, zip(*self.rows))))
 
 
-@dataclass
 class TreeNode:
-    name: str | None = None
-    length: float | None = None
-    children: list["TreeNode"] = dc_field(default_factory=list)
+    """One node; `parse_newick` fills in its name, length and children."""
+
+    def __init__(self):
+        self.name: str | None = None
+        self.length: float | None = None
+        self.children: list[TreeNode] = []
 
     @cached_property
     def leaf_order(self) -> tuple["TreeNode", ...]:
@@ -96,28 +99,34 @@ class TreeNode:
         return {"tip_label": self.leaf_labels()}
 
 
-@dataclass(frozen=True)
 class SequenceSet:
-    records: tuple[tuple[str, str], ...]  # (id, sequence)
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[tuple[str, str], ...]):
+        self.records = records  # (id, sequence)
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
         return {"seq_id": [rec_id for rec_id, _ in self.records]}
 
 
-@dataclass(frozen=True)
 class Feature:
-    properties: dict
-    polygons: tuple  # tuple of polygons; each polygon is a tuple of (lon, lat) ring points
+    __slots__ = ("properties", "polygons")
+
+    def __init__(self, properties: dict, polygons: tuple):
+        self.properties = properties
+        self.polygons = polygons  # tuple of polygons; each polygon is a tuple of (lon, lat) ring points
 
 
 def _property_text(value) -> str:
     return "" if value is None else str(value)
 
 
-@dataclass(frozen=True)
 class FeatureSet:
-    features: tuple[Feature, ...]
+    __slots__ = ("features",)
+
+    def __init__(self, features: tuple[Feature, ...]):
+        self.features = features
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
@@ -128,10 +137,12 @@ class FeatureSet:
                 for name in names}
 
 
-@dataclass(frozen=True)
 class EdgeTable:
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple[str, ...], rows: tuple[tuple[str, ...], ...]):
+        self.columns = columns
+        self.rows = rows
 
     def node_ids(self) -> list[str]:
         seen = []
@@ -153,22 +164,25 @@ class EdgeTable:
         return columns
 
 
-@dataclass(frozen=True)
 class ImageRef:
-    path: str
+    __slots__ = ("path",)
+
+    def __init__(self, path: str):
+        self.path = path
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
         return {}  # the lanes live in the sidecar table
 
 
-@dataclass(frozen=True)
 class Dataset:
-    id: str
-    dtype: str
-    payload: object
-    associated: Table | None = None
-    associated_key: str | None = None  # column of `associated` matching primary ids
+    def __init__(self, id: str, dtype: str, payload: object, associated: Table | None = None,
+                 associated_key: str | None = None):
+        self.id = id
+        self.dtype = dtype
+        self.payload = payload
+        self.associated = associated
+        self.associated_key = associated_key  # column of `associated` matching primary ids
 
     @cached_property
     def raw_columns(self) -> dict[str, list[str]]:
@@ -186,17 +200,33 @@ class Dataset:
         return next(iter(self.raw_columns.values()), [])
 
 
-@dataclass(frozen=True)
 class Field:
-    name: str
-    source_id: str
-    kind: str  # "numeric" | "non-numeric"
-    cardinality: int | None
-    values: frozenset | None
-    row_count: int
-    # One entry per row, in payload order: None for a missing marker, else the
-    # stripped cell, parsed to a float in a numeric field.
-    column: tuple = dc_field(default=(), compare=False, repr=False)
+    """Compared and hashed by everything but `column`."""
+
+    __slots__ = ("name", "source_id", "kind", "cardinality", "values", "row_count", "column")
+
+    def __init__(self, name: str, source_id: str, kind: str, cardinality: int | None,
+                 values: frozenset | None, row_count: int, column: tuple = ()):
+        self.name = name
+        self.source_id = source_id
+        self.kind = kind  # "numeric" | "non-numeric"
+        self.cardinality = cardinality
+        self.values = values
+        self.row_count = row_count
+        # One entry per row, in payload order: None for a missing marker, else
+        # the stripped cell, parsed to a float in a numeric field.
+        self.column = column
+
+    def _key(self) -> tuple:
+        return (self.name, self.source_id, self.kind, self.cardinality, self.values, self.row_count)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def qualified_name(self) -> str:
@@ -207,9 +237,11 @@ class Field:
         return self.kind == "numeric"
 
 
-@dataclass(frozen=True)
 class FieldMetadata:
-    entries: tuple[dict, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[dict, ...]):
+        self.entries = entries
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -286,7 +318,7 @@ def _read_csv_table(path: Path, dtype: str) -> Table:
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(dtype, str(path), f"expected {len(header)} cells, got {len(row)}", line=i)
-        body.append(tuple(cell for cell in row))
+        body.append(tuple(row))
     return Table(header, tuple(body))
 
 
@@ -479,13 +511,19 @@ def _read_geojson(path: Path) -> FeatureSet:
                 polygons = tuple(tuple(_ring_points(ring) for ring in poly) for poly in coords)
             else:
                 raise ParseError(SPATIAL, str(path), f"feature {i}: unsupported geometry {gtype!r}")
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
             raise ParseError(SPATIAL, str(path), f"feature {i}: malformed coordinates")
         # keep outer rings only; holes add nothing at recon scale
         outer = tuple(poly[0] for poly in polygons if poly)
         features.append(Feature(dict(props), outer))
     if not features:
         raise ParseError(SPATIAL, str(path), "FeatureCollection has no features")
+    points = [pt for feat in features for ring in feat.polygons for pt in ring]
+    if not points:
+        raise ParseError(SPATIAL, str(path), "no feature has an outer ring point")
+    # the map scales each axis by its span, which must be a finite float
+    if not all(math.isfinite(max(axis) - min(axis)) for axis in zip(*points)):
+        raise ParseError(SPATIAL, str(path), "coordinate span overflows the float range")
     return FeatureSet(tuple(features))
 
 

@@ -11,7 +11,6 @@ groups, a shared-axis banner naming the alignment field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 
 from .chartspec import ChartSpec
 from .combine import CombinationPlan
@@ -26,14 +25,17 @@ GUTTER = 18.0
 HEADER_H = 30.0
 
 
-@dataclass
 class ViewLayout:
-    rows: int
-    cols: int
-    cells: dict[str, tuple[int, int]]  # spec id -> (row, col)
-    width: float
-    height: float
-    annotations: list[str] = dc_field(default_factory=list)
+    __slots__ = ("rows", "cols", "cells", "width", "height", "annotations")
+
+    def __init__(self, rows: int, cols: int, cells: dict[str, tuple[int, int]], width: float,
+                 height: float, annotations: list[str] | None = None):
+        self.rows = rows
+        self.cols = cols
+        self.cells = cells  # spec id -> (row, col)
+        self.width = width
+        self.height = height
+        self.annotations = [] if annotations is None else annotations
 
     def to_dict(self) -> dict:
         return {

@@ -8,8 +8,6 @@ so parallel or out-of-order evaluation cannot change results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import __version__
 from .chartspec import (
     ChartSpec,
@@ -33,13 +31,16 @@ TOOL_VERSION = f"reconviz {__version__}"
 _SEED_STRIDE = 1_000_003  # mixes (global seed, path rank) into one PRNG seed
 
 
-@dataclass
 class View:
-    index: int  # 1-based, in rank order
-    ranked: RankedPath
-    specs: list[ChartSpec]
-    plan: CombinationPlan
-    layout: ViewLayout
+    __slots__ = ("index", "ranked", "specs", "plan", "layout")
+
+    def __init__(self, index: int, ranked: RankedPath, specs: list[ChartSpec],
+                 plan: CombinationPlan, layout: ViewLayout):
+        self.index = index  # 1-based, in rank order
+        self.ranked = ranked
+        self.specs = specs
+        self.plan = plan
+        self.layout = layout
 
     def to_dict(self) -> dict:
         return {
@@ -51,12 +52,15 @@ class View:
         }
 
 
-@dataclass
 class Assembly:
-    datasets: dict[str, Dataset]
-    graph: EntityGraph
-    ranked: list[RankedPath]
-    views: list[View]
+    __slots__ = ("datasets", "graph", "ranked", "views")
+
+    def __init__(self, datasets: dict[str, Dataset], graph: EntityGraph,
+                 ranked: list[RankedPath], views: list[View]):
+        self.datasets = datasets
+        self.graph = graph
+        self.ranked = ranked
+        self.views = views
 
     def views_json(self) -> str:
         return json_text([v.to_dict() for v in self.views])

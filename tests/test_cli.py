@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
-from dataclasses import FrozenInstanceError
 from datetime import date
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from reconviz.config import ASSETS_DIR, RunConfig
 from reconviz.errors import ConfigError
 from reconviz.ingest import explode_fields, load_dataset
 
-from conftest import synthetic_manifest, write_config
+from conftest import fig1_datasets, synthetic_manifest, write_config
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -257,6 +256,19 @@ MALFORMED_INPUTS = {
         [{"type": "Feature", "properties": {"zone": "A"},
           "geometry": {"type": "Point", "coordinates": [0, 0]}}])),
     "geojson_no_features": ("spatial", "g.geojson", _geojson([])),
+    # with no outer ring point the map has nothing to scale: render exited 1
+    "geojson_no_ring_points": ("spatial", "g.geojson", _geojson(
+        [{"type": "Feature", "properties": {"zone": zone},
+          "geometry": {"type": "Polygon", "coordinates": [[]]}} for zone in "AB"])),
+    # a longitude span of 2e308 is inf: the map wrote nan into every SVG with it
+    "geojson_coordinate_span_overflows": ("spatial", "g.geojson", _geojson(
+        [{"type": "Feature", "properties": {"zone": zone},
+          "geometry": {"type": "Polygon", "coordinates": [[[lon, 10], [0, 12], [lon, 10]]]}}
+         for zone, lon in (("A", -1e308), ("B", 1e308))])),
+    # an integer JSON number past the float range: float() raised OverflowError
+    "geojson_integer_past_float_range": ("spatial", "g.geojson", _geojson(
+        [{"type": "Feature", "properties": {"zone": "A"}, "geometry": {
+            "type": "Polygon", "coordinates": [[[10**400, 0], [0, 1], [0, 0]]]}}])),
     "fasta_not_utf8": ("genomic", "s.fasta", b">a\nAC\xffGT\n"),
     "fasta_data_before_header": ("genomic", "s.fasta", b"ACGT\n>a\nACGT\n"),
     "fasta_empty_header": ("genomic", "s.fasta", b">a\nACGT\n>\nACGT\n"),
@@ -450,6 +462,64 @@ class TestTreeProperty:
             if "t.csv" in files:
                 manifest.append({"id": "t", "path": str(root / "t.csv"), "dtype": "tabular"})
             assert render_every_view(write_config(root, manifest)) >= 1
+
+
+# Coordinates: ordinary longitudes and latitudes, or, on some features,
+# finite numbers at the edges of the float range too.
+_ORDINARY = st.floats(-180, 180)
+_EDGES = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0,
+                          1e-300, 5e-324, 10**20])
+
+
+@st.composite
+def geometries(draw):
+    """A Polygon or MultiPolygon of 2-D and 3-D points; a ring or a
+    MultiPolygon may be empty, and a polygon may have holes."""
+    coordinates = draw(st.sampled_from([_ORDINARY, _EDGES, st.one_of(_ORDINARY, _EDGES)]))
+    points = st.lists(st.lists(coordinates, min_size=2, max_size=3), min_size=1, max_size=5)
+    polygon = st.lists(st.one_of(points, points, points, st.just([])), min_size=1, max_size=3)
+    if draw(st.booleans()):
+        return {"type": "Polygon", "coordinates": draw(polygon)}
+    return {"type": "MultiPolygon", "coordinates": draw(st.lists(polygon, max_size=3))}
+
+
+_PROPERTY_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), _ORDINARY, _EDGES,
+              st.sampled_from(["guinea", "liberia", "a&b", "<x>"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(st.sampled_from(["k", "n"]), inner, max_size=2)),
+    max_leaves=4,
+)
+
+
+@st.composite
+def feature_collections(draw):
+    """GeoJSON bytes: one to five features, each with a Polygon or
+    MultiPolygon geometry, a country of the fig1 cases (or none) and other
+    properties that may be null or nested."""
+    features = []
+    for _ in range(draw(st.integers(1, 5))):
+        properties = {"country": draw(st.sampled_from(
+            ["guinea", "liberia", "sierra leone", "mali", None]))}
+        properties.update(draw(st.dictionaries(st.sampled_from(["cases", "meta"]),
+                                               _PROPERTY_VALUES, max_size=2)))
+        features.append({"type": "Feature", "properties": properties,
+                         "geometry": draw(geometries())})
+    return _geojson(features)
+
+
+class TestGeoJsonProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(feature_collections())
+    def test_maps_next_to_fig1_exit_cleanly_with_finite_views(self, fig1_dir, geojson):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "regions.geojson").write_bytes(geojson)
+            manifest = fig1_datasets(fig1_dir)
+            manifest[2]["path"] = str(root / "regions.geojson")
+            cfg = write_config(root, manifest)
+            assert run(["link", "--config", cfg]) in (0, 2, 3)
+            render_every_view(cfg)
 
 
 class TestRobustness:
@@ -783,14 +853,23 @@ class TestUsageAndDeterminism:
         cfg = write_config(tmp_path, [{"path": "t.csv", "dtype": "tabular"}], max_charts="5")
         assert run(["specs", "--config", cfg, "--max-charts", "2"]) == 0
 
-    def test_importing_the_cli_leaves_out_the_network_and_email_modules(self):
-        probe = ("import sys, reconviz.cli; "
-                 "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email') "
-                 "if m in sys.modules))")
+    @staticmethod
+    def loaded_after_importing_the_cli(modules: tuple[str, ...]) -> list[str]:
+        """Which of `modules` a fresh interpreter holds after `import reconviz.cli`."""
+        probe = f"import sys, reconviz.cli; print(*sorted(m for m in {modules!r} if m in sys.modules))"
         src = Path(reconviz.__file__).resolve().parent.parent
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.split()
+
+    def test_importing_the_cli_leaves_out_the_network_and_email_modules(self):
+        assert self.loaded_after_importing_the_cli(
+            ("xml.sax", "urllib.request", "http.client", "email")) == []
+
+    def test_importing_the_cli_leaves_out_dataclasses_and_inspect(self):
+        """Every command pays for what `reconviz.cli` imports; generating
+        dataclass methods and importing `inspect` with them cost ~50 ms."""
+        assert self.loaded_after_importing_the_cli(("dataclasses", "inspect")) == []
 
     def test_seed_flag_and_file_seed_hash_alike(self, synthetic_dir, tmp_path):
         hashes = []
@@ -806,7 +885,7 @@ class TestUsageAndDeterminism:
 
     def test_run_config_is_frozen_and_validated_when_built(self):
         config = RunConfig()
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="frozen"):
             config.max_charts = 0
         with pytest.raises(ConfigError, match="max_charts"):
             RunConfig(max_charts=0)

@@ -123,8 +123,8 @@ class TestBuildGraph:
                 field("id", "d3", {"a", "b", "c", "d", "e"}),
             ]
         )
-        exact_paths = {p.identity()[0] for p in enumerate_paths(connected_components(exact)[0])}
-        messy_paths = {p.identity()[0] for p in enumerate_paths(connected_components(messy)[0])}
+        exact_paths = {path_identity(p)[0] for p in enumerate_paths(connected_components(exact)[0])}
+        messy_paths = {path_identity(p)[0] for p in enumerate_paths(connected_components(messy)[0])}
         assert exact_paths == messy_paths  # no path disappears
         strength = {
             frozenset(p.hubs): path_strength(p)
@@ -298,20 +298,31 @@ def dijkstra_pair(component, source, target):
     return None
 
 
+def edge_key(edge):
+    """The (smaller, larger) node pair of a link edge, as `EntityGraph.links`
+    keys it."""
+    return (edge.a, edge.b) if edge.a <= edge.b else (edge.b, edge.a)
+
+
+def path_identity(path):
+    """A path's hub set and link-edge set; no two enumerated paths share it."""
+    return (frozenset(path.hubs), frozenset(edge_key(e) for e in path.link_edges))
+
+
 def per_pair_paths(component, component_id=0):
     """Reference enumeration: singletons, then one `dijkstra_pair` per hub pair
     (sources ascending, then targets ascending), deduplicated by identity."""
     hub_ids = sorted(component.hubs)
     paths = [GraphPath((hub_key(ds),), (ds,), (), component_id) for ds in hub_ids]
-    seen = {p.identity() for p in paths}
+    seen = {path_identity(p) for p in paths}
     for i, source in enumerate(hub_ids):
         for target in hub_ids[i + 1 :]:
             seq = dijkstra_pair(component, source, target)
             if seq is None:
                 continue
             path = _path_from_sequence(component, seq, component_id)
-            if path.identity() not in seen:
-                seen.add(path.identity())
+            if path_identity(path) not in seen:
+                seen.add(path_identity(path))
                 paths.append(path)
     return paths
 
@@ -404,7 +415,7 @@ class TestEnumeratePaths:
                 assert path.nodes[0][0] == "hub" and path.nodes[-1][0] == "hub"
                 assert set(path.hubs) <= set(component.hubs)
                 for edge in path.link_edges:
-                    assert edge.key() in component.links
+                    assert edge_key(edge) in component.links
 
     def test_strength_is_mean_of_link_weights(self):
         fields = [

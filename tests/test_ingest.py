@@ -11,6 +11,7 @@ from reconviz.errors import AllMissing, ConfigError, DuplicateDatasetId, KeyMism
 from reconviz.ingest import (
     MISSING_MARKERS,
     Dataset,
+    Field,
     Table,
     classify_field,
     explode_fields,
@@ -386,7 +387,31 @@ class TestExplodeFields:
                 assert row["sample_values"].split(";") == sorted(field.values)[:5]
 
 
+class TestFieldEquality:
+    BASE = dict(name="v", source_id="t", kind="non-numeric", cardinality=2,
+                values=frozenset({"a", "b"}), row_count=3, column=("a", "b", None))
+
+    def test_equality_and_hash_ignore_the_column(self):
+        a = Field(**self.BASE)
+        b = Field(**{**self.BASE, "column": ("b", None, "a")})
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+    @pytest.mark.parametrize("name, other", [
+        ("name", "w"), ("source_id", "u"), ("kind", "numeric"), ("cardinality", 3),
+        ("values", frozenset({"a", "c"})), ("row_count", 4)])
+    def test_every_other_attribute_tells_fields_apart(self, name, other):
+        assert Field(**self.BASE) != Field(**{**self.BASE, name: other})
+
+
 class TestColumnAccess:
+    @given(st.lists(st.lists(st.text(max_size=3), min_size=3, max_size=3), min_size=1, max_size=6))
+    def test_table_columns_match_a_walk_by_index(self, rows):
+        """`raw_columns` transposes the rows with `zip`; the walk by index is
+        the code it replaced."""
+        table = Table(("a", "b", "c"), tuple(tuple(row) for row in rows))
+        assert table.raw_columns == {
+            name: [row[i] for row in table.rows] for i, name in enumerate(table.columns)}
+
     def test_primary_column_wins_name_clash(self, tmp_path):
         (tmp_path / "tree.nwk").write_text("((a,b),(c,d));")
         (tmp_path / "meta.csv").write_text("tip,tip_label\na,x\nb,y\nc,x\nd,y\n")

@@ -1,7 +1,6 @@
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 import pytest
 
@@ -193,8 +192,8 @@ class TestChartFragments:
     def test_unbound_required_channel_is_data_mismatch(self, synthetic_dir):
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
         graph = graph_of(list(datasets.values()))
-        half = simple_spec("samples:heatmap", "heatmap", "samples", x="samples.location")
-        half = replace(half, required_channels=("x", "y"))
+        half = ChartSpec("samples:heatmap", "heatmap", "samples", "tabular", 5.0,
+                         {"x": Binding("location", "samples")}, required_channels=("x", "y"))
         with pytest.raises(DataMismatch, match="incomplete"):
             render_chart(half, datasets, graph)
 
