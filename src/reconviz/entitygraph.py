@@ -13,6 +13,8 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import EmptySet
 from .ingest import Field
@@ -171,17 +173,34 @@ def build_entity_graph(
         spokes[spoke_key(field)] = field
 
     threshold = max(Fraction(0), Fraction(min_jaccard).limit_denominator(10**9))
+    # Value index: bit i of a value's mask stands for keys[i], a non-numeric
+    # spoke that holds the value. OR-ing the masks of a spoke's values gives
+    # exactly the spokes that share a value with it; every other pair has
+    # J = 0, which no threshold >= 0 passes.
+    keys = [key for key in sorted(spokes) if not spokes[key].numeric]
+    holders: dict[object, int] = {}
+    for bit, key in enumerate(keys):
+        flag = 1 << bit
+        for value in spokes[key].values:
+            holders[value] = holders.get(value, 0) | flag
+
     links: dict[tuple[NodeKey, NodeKey], Fraction] = {}
-    keys = sorted(spokes)
+    end = 0
     for i, ka in enumerate(keys):
-        fa = spokes[ka]
-        if fa.numeric:
-            continue
-        for kb in keys[i + 1 :]:
-            fb = spokes[kb]
-            if fb.numeric or fa.source_id == fb.source_id or fa.values.isdisjoint(fb.values):
-                continue  # disjoint values give J = 0, which no threshold >= 0 passes
-            weight = jaccard(fa.values, fb.values)
+        if i == end:
+            # Sorted keys put a dataset's spokes next to each other: `end` is
+            # the first bit past ka's dataset.
+            end = i + 1
+            while end < len(keys) and keys[end][1] == ka[1]:
+                end += 1
+        values = spokes[ka].values
+        # Shifting by `end` drops ka's own dataset and every earlier spoke.
+        shared = reduce(or_, map(holders.__getitem__, values), 0) >> end
+        while shared:
+            low = shared & -shared
+            shared ^= low
+            kb = keys[end + low.bit_length() - 1]
+            weight = jaccard(values, spokes[kb].values)
             if weight > threshold:
                 links[(ka, kb)] = weight
     return EntityGraph(hubs, spokes, links)
@@ -221,32 +240,29 @@ class GraphPath:
 def connected_components(graph: EntityGraph) -> list[EntityGraph]:
     """Partition by connectivity; ordered by descending hub count, then by
     smallest dataset id."""
-    seen: set[NodeKey] = set()
-    raw_components: list[list[NodeKey]] = []
+    # Label every node with its component in one DFS, then deal the graph's
+    # hubs, fields and links out to their components in one pass each.
+    component_of: dict[NodeKey, int] = {}
+    parts: list[tuple[dict, dict, dict]] = []  # (hubs, fields, links) per component
     for start in graph.nodes():
-        if start in seen:
+        if start in component_of:
             continue
+        component_of[start] = len(parts)
         stack = [start]
-        members: list[NodeKey] = []
-        seen.add(start)
         while stack:
-            node = stack.pop()
-            members.append(node)
-            for neighbor, _ in graph.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
+            for neighbor, _ in graph.neighbors(stack.pop()):
+                if neighbor not in component_of:
+                    component_of[neighbor] = len(parts)
                     stack.append(neighbor)
-        raw_components.append(members)
+        parts.append(({}, {}, {}))
 
-    components: list[EntityGraph] = []
-    for members in raw_components:
-        member_set = set(members)
-        hubs = {ds: dtype for ds, dtype in graph.hubs.items() if hub_key(ds) in member_set}
-        fields = {key: f for key, f in graph.fields.items() if key in member_set}
-        links = {
-            (a, b): w for (a, b), w in graph.links.items() if a in member_set and b in member_set
-        }
-        components.append(EntityGraph(hubs, fields, links))
+    for ds, dtype in graph.hubs.items():
+        parts[component_of[hub_key(ds)]][0][ds] = dtype
+    for key, f in graph.fields.items():
+        parts[component_of[key]][1][key] = f
+    for (a, b), w in graph.links.items():
+        parts[component_of[a]][2][(a, b)] = w
+    components = [EntityGraph(hubs, fields, links) for hubs, fields, links in parts]
     components.sort(key=lambda c: (-len(c.hubs), min(c.hubs) if c.hubs else ""))
     return components
 

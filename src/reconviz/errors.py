@@ -99,3 +99,5 @@ def read_config_json(path: str | Path, what: str):
         return json.loads(read_config_text(path, what))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}")
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")

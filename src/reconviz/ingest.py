@@ -487,6 +487,8 @@ def _read_geojson(path: Path) -> FeatureSet:
         doc = json.loads(_read_text(path, SPATIAL))
     except json.JSONDecodeError as exc:
         raise ParseError(SPATIAL, str(path), f"invalid JSON: {exc.msg}", line=exc.lineno)
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ParseError(SPATIAL, str(path), f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(SPATIAL, str(path), "expected a GeoJSON FeatureCollection")
     raw_features = doc.get("features", [])
@@ -513,8 +515,8 @@ def _read_geojson(path: Path) -> FeatureSet:
                 raise ParseError(SPATIAL, str(path), f"feature {i}: unsupported geometry {gtype!r}")
         except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
             raise ParseError(SPATIAL, str(path), f"feature {i}: malformed coordinates")
-        # keep outer rings only; holes add nothing at recon scale
-        outer = tuple(poly[0] for poly in polygons if poly)
+        # keep non-empty outer rings only; holes add nothing at recon scale
+        outer = tuple(poly[0] for poly in polygons if poly and poly[0])
         features.append(Feature(dict(props), outer))
     if not features:
         raise ParseError(SPATIAL, str(path), "FeatureCollection has no features")

@@ -80,6 +80,13 @@ class TestAssetFilesExitTwo:
         cfg = fig1_config(tmp_path, **{key: b'{"tabular": ["bar chart",'})
         assert_input_error(cfg, command, f"{key}.json", "not valid JSON")
 
+    @pytest.mark.parametrize("key", ["templates", "type_encodings"])
+    def test_json_asset_with_an_integer_past_the_digit_limit(self, tmp_path, command, key):
+        """json.loads raised a plain ValueError, and the run ended in a
+        traceback."""
+        cfg = fig1_config(tmp_path, **{key: b'{"tabular": [1' + b"0" * 5000 + b"]}"})
+        assert_input_error(cfg, command, f"{key}.json", "not valid JSON")
+
     @pytest.mark.parametrize("key", ["viability_matrix", "design_space"])
     def test_csv_asset_that_is_not_utf8(self, tmp_path, command, key):
         cfg = fig1_config(tmp_path, **{key: SHIPPED[key].read_bytes() + b"\xff\xfe\n"})
@@ -172,6 +179,13 @@ class TestInputFilesExitTwo:
         cfg = write_config(tmp_path, fig1_datasets(FIG1))
         cfg.write_bytes(cfg.read_bytes().replace(b'"datasets"', b'"d\xe4tasets"'))
         assert_input_error(cfg, ["specs"], str(cfg), "not UTF-8")
+
+    def test_config_integer_past_the_digit_limit(self, tmp_path):
+        """A `seed` of 5,001 digits: json.loads raised a plain ValueError, and
+        the run ended in a traceback."""
+        cfg = write_config(tmp_path, fig1_datasets(FIG1), seed=0)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"seed": 0', b'"seed": 1' + b"0" * 5000))
+        assert_input_error(cfg, ["specs"], str(cfg), "not valid JSON")
 
     def test_encoding_map_listing_no_chart_type_for_a_data_type(self, tmp_path):
         """Found by the property test: ranking took the maximum over an empty

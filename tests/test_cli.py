@@ -269,6 +269,12 @@ MALFORMED_INPUTS = {
     "geojson_integer_past_float_range": ("spatial", "g.geojson", _geojson(
         [{"type": "Feature", "properties": {"zone": "A"}, "geometry": {
             "type": "Polygon", "coordinates": [[[10**400, 0], [0, 1], [0, 0]]]}}])),
+    # a property with more digits than int() converts: json.loads raised a
+    # plain ValueError, and the run ended in a traceback
+    "geojson_integer_past_digit_limit": ("spatial", "g.geojson", _geojson(
+        [{"type": "Feature", "properties": {"zone": "BIG"}, "geometry": {
+            "type": "Polygon", "coordinates": [[[0, 0], [0, 1], [1, 0]]]}}]
+    ).replace(b'"BIG"', b"1" + b"0" * 5000)),
     "fasta_not_utf8": ("genomic", "s.fasta", b">a\nAC\xffGT\n"),
     "fasta_data_before_header": ("genomic", "s.fasta", b"ACGT\n>a\nACGT\n"),
     "fasta_empty_header": ("genomic", "s.fasta", b">a\nACGT\n>\nACGT\n"),
@@ -520,6 +526,23 @@ class TestGeoJsonProperty:
             cfg = write_config(root, manifest)
             assert run(["link", "--config", cfg]) in (0, 2, 3)
             render_every_view(cfg)
+            assert_no_empty_polygon(root / "out")
+
+    def test_empty_outer_ring_draws_no_empty_polygon(self, fig1_dir, tmp_path):
+        """An empty outer ring was kept as a polygon, and the map drew it as
+        `<polygon points=""/>`."""
+        doc = json.loads((fig1_dir / "regions.geojson").read_text())
+        doc["features"][0]["geometry"]["coordinates"] = [[]]
+        (tmp_path / "regions.geojson").write_text(json.dumps(doc))
+        manifest = fig1_datasets(fig1_dir)
+        manifest[2]["path"] = str(tmp_path / "regions.geojson")
+        assert render_every_view(write_config(tmp_path, manifest)) >= 3
+        assert_no_empty_polygon(tmp_path / "out")
+
+
+def assert_no_empty_polygon(out: Path) -> None:
+    for path in out.glob("*.svg"):
+        assert 'points=""' not in path.read_text(), path.name
 
 
 class TestRobustness:

@@ -157,13 +157,20 @@ def all_pairs_links(fields, min_jaccard=0.0):
 
 @st.composite
 def field_collections(draw):
-    """1-5 datasets with 1-4 fields each. Value sets come from a small pool, so
-    disjoint, overlapping, nested and equal sets all occur; a derived field
-    copies or narrows an earlier one (equal and nested sets on purpose), and
-    some fields are numeric. Several fields of one dataset may share values."""
-    pool = [f"v{i}" for i in range(12)]
+    """Datasets with 1-4 fields each. Either 1-5 datasets draw their value
+    sets from one small pool, so disjoint, overlapping, nested and equal sets
+    all occur; or 1-12 datasets draw mostly from pools of their own, which
+    share only two values, so most cross-dataset pairs share nothing. A
+    derived field copies or narrows an earlier one (equal and nested sets on
+    purpose), and some fields are numeric. Several fields of one dataset may
+    share values. Sometimes one value is held by every non-numeric field, so
+    every cross-dataset pair of them shares a value."""
+    own_pools = draw(st.booleans())
+    everywhere = {"all"} if draw(st.booleans()) else set()
+    shared = [f"v{i}" for i in range(12)]
     fields = []
-    for d in range(draw(st.integers(1, 5))):
+    for d in range(draw(st.integers(1, 12 if own_pools else 5))):
+        pool = [f"d{d}v{i}" for i in range(6)] + shared[:2] if own_pools else shared
         for j in range(draw(st.integers(1, 4))):
             kind = draw(st.sampled_from(["values", "values", "derived", "numeric"]))
             if kind == "numeric":
@@ -175,7 +182,7 @@ def field_collections(draw):
                 values = draw(st.sets(st.sampled_from(sorted(base)), min_size=1))
             else:
                 values = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=8))
-            fields.append(field(f"f{j}", f"d{d}", values))
+            fields.append(field(f"f{j}", f"d{d}", values | everywhere))
     return draw(st.permutations(fields))
 
 
