@@ -34,7 +34,6 @@ PLOT_W = CELL_W - MARGIN_L - MARGIN_R
 PLOT_H = CELL_H - MARGIN_T - MARGIN_B
 
 AXIS_COLOR = "#444444"
-GRID_COLOR = "#dddddd"
 MARK_COLOR = "#4e79a7"
 TEXT_COLOR = "#222222"
 
@@ -106,9 +105,7 @@ class LinearScale:
         t = (value - self.lo) / (self.hi - self.lo)
         return self.out_lo + t * (self.out_hi - self.out_lo)
 
-    def position(self, value: float) -> float:
-        """Position of a present value of a numeric field."""
-        return self(value)
+    position = __call__  # the position of a present value of a numeric field
 
     def tick_marks(self, max_labels: int) -> list[tuple[float, str | None]]:
         """Five evenly spaced ticks, always labeled."""
@@ -157,11 +154,13 @@ def _frame(svg: SvgBuilder, spec: ChartSpec) -> None:
              fill=TEXT_COLOR, font_family="sans-serif", font_weight="bold")
 
 
-def _axis_label(svg: SvgBuilder, spec: ChartSpec, channel: str) -> None:
-    binding = spec.bindings.get(channel)
-    if binding is None:
-        return
-    label = binding.field
+def _axis_label(svg: SvgBuilder, spec: ChartSpec, channel: str, label: str | None = None) -> None:
+    """The channel's title: `label`, else the name of the field bound to it."""
+    if label is None:
+        binding = spec.bindings.get(channel)
+        if binding is None:
+            return
+        label = binding.field
     if channel == "x":
         svg.text(MARGIN_L + PLOT_W / 2, CELL_H - 8, label, font_size=10, fill=AXIS_COLOR,
                  text_anchor="middle", font_family="sans-serif", **{"class": "axis-label-x"})
@@ -172,13 +171,17 @@ def _axis_label(svg: SvgBuilder, spec: ChartSpec, channel: str) -> None:
                  **{"class": "axis-label-y"})
 
 
-def _axes(svg: SvgBuilder) -> None:
+def _axes(svg: SvgBuilder, xs: LinearScale | BandScale, ys: LinearScale | BandScale,
+          x_labels: int = 20, y_labels: int = 20) -> None:
+    """Both axis lines, then the x ticks and the y ticks."""
     svg.line(MARGIN_L, MARGIN_T, MARGIN_L, MARGIN_T + PLOT_H, stroke=AXIS_COLOR, stroke_width=1)
     svg.line(MARGIN_L, MARGIN_T + PLOT_H, MARGIN_L + PLOT_W, MARGIN_T + PLOT_H,
              stroke=AXIS_COLOR, stroke_width=1)
+    _ticks(svg, xs, "x", x_labels)
+    _ticks(svg, ys, "y", y_labels)
 
 
-def _ticks(svg: SvgBuilder, scale: LinearScale | BandScale, axis: str, max_labels: int = 20) -> None:
+def _ticks(svg: SvgBuilder, scale: LinearScale | BandScale, axis: str, max_labels: int) -> None:
     """Each tick's line, then its label if it has one: a run of unlabeled
     ticks is written in one call."""
     tick = svg.attrs(stroke=AXIS_COLOR, stroke_width=1)
@@ -256,9 +259,7 @@ def _xy_axes(svg, spec, bound):
     x, y = bound.get("x"), bound.get("y")
     xs = _scale_for(spec, "x", x)
     ys = _scale_for(spec, "y", y)
-    _axes(svg)
-    _ticks(svg, xs, "x")
-    _ticks(svg, ys, "y")
+    _axes(svg, xs, ys)
     return x, y, xs, ys
 
 
@@ -309,9 +310,7 @@ def _render_bar(svg, spec, dataset, bound, graph):
             stacks[cat][sub] = stacks[cat].get(sub, 0) + 1
     top = max(counts.values(), default=0) or 1
     ys = LinearScale(0, top, MARGIN_T + PLOT_H, MARGIN_T)
-    _axes(svg)
-    _ticks(svg, xs, "x")
-    _ticks(svg, ys, "y")
+    _axes(svg, xs, ys)
     width = xs.step * 0.7
     bars = []
     for cat in domain:
@@ -334,9 +333,7 @@ def _render_bar(svg, spec, dataset, bound, graph):
     if color is not None:
         _legend(svg, palette, sorted(palette))
     _axis_label(svg, spec, "x")
-    svg.text(14, MARGIN_T + PLOT_H / 2, "count", font_size=10, fill=AXIS_COLOR,
-             text_anchor="middle", font_family="sans-serif",
-             transform=f"rotate(-90 14 {fmt(MARGIN_T + PLOT_H / 2)})", **{"class": "axis-label-y"})
+    _axis_label(svg, spec, "y", "count")
 
 
 def _render_histogram(svg, spec, dataset, bound, graph):
@@ -351,9 +348,7 @@ def _render_histogram(svg, spec, dataset, bound, graph):
         counts[idx] += 1
     top = max(counts) or 1
     ys = LinearScale(0, top, MARGIN_T + PLOT_H, MARGIN_T)
-    _axes(svg)
-    _ticks(svg, xs, "x")
-    _ticks(svg, ys, "y")
+    _axes(svg, xs, ys)
     bin_w = PLOT_W / HIST_BINS
     mark = svg.attrs(fill=MARK_COLOR, class_="mark")
     bars = []
@@ -414,9 +409,7 @@ def _render_heatmap(svg, spec, dataset, bound, graph):
             continue
         counts[(cx, cy)] = counts.get((cx, cy), 0) + 1
     top = max(counts.values(), default=1)
-    _axes(svg)
-    _ticks(svg, xs, "x", max_labels=12)
-    _ticks(svg, ys, "y", max_labels=30)
+    _axes(svg, xs, ys, x_labels=12, y_labels=30)
     # cells are drawn in the order of their labels, then of their keys
     cells = sorted(counts.items(), key=lambda c: (xs.labels[c[0][0]], ys.labels[c[0][1]], c[0]))
     ramp = [svg.attrs(fill=color, class_="mark") for color in RAMP5]
@@ -483,13 +476,10 @@ def _render_tree(svg, spec, dataset, bound, graph):
     palette = _palette_for(spec, color)
     leaf_color: dict[str, str | None] = {}
     if color is not None:
-        dataset_ids = dataset.primary_ids()
-        if dataset.associated is not None and color.name not in root.raw_columns:
-            keys = dataset.associated.column(dataset.associated_key)
-            mapping = {k.strip(): v for k, v in zip(keys, color.column)}
-            leaf_color = {i.strip(): mapping.get(i.strip()) for i in dataset_ids}
-        else:
-            leaf_color = {i.strip(): v for i, v in zip(dataset_ids, color.column)}
+        # the colour field's rows follow the associated key column, or else the tip ids
+        on_tips = dataset.associated is None or color.name in root.raw_columns
+        keys = dataset.primary_ids() if on_tips else dataset.associated.column(dataset.associated_key)
+        leaf_color = {k.strip(): v for k, v in zip(keys, color.column)}
 
     # Each branch's two lines, depth first, left to right: (parent x, y, child).
     branch = svg.attrs(stroke=AXIS_COLOR, stroke_width=1)
@@ -567,19 +557,15 @@ def _render_map(svg, spec, dataset, bound, graph):
     if color is not None:
         _legend(svg, palette, sorted(palette))
     if region is not None:
-        svg.text(MARGIN_L + PLOT_W / 2, CELL_H - 8, region.name, font_size=10,
-                 fill=AXIS_COLOR, text_anchor="middle", font_family="sans-serif",
-                 **{"class": "axis-label-x"})
+        _axis_label(svg, spec, "x", region.name)
 
 
 def _render_table(svg, spec, dataset, bound, graph):
     key = bound.get("y") or bound.get("x")
-    if dataset.dtype == TABULAR:
-        columns = list(dataset.payload.columns)[:TABLE_MAX_COLS]
-        rows = [[row[dataset.payload.columns.index(c)] for c in columns] for row in dataset.payload.rows]
-    elif dataset.associated is not None:
-        columns = list(dataset.associated.columns)[:TABLE_MAX_COLS]
-        rows = [[row[dataset.associated.columns.index(c)] for c in columns] for row in dataset.associated.rows]
+    table = dataset.payload if dataset.dtype == TABULAR else dataset.associated
+    if table is not None:
+        columns = table.columns[:TABLE_MAX_COLS]
+        rows = [row[:TABLE_MAX_COLS] for row in table.rows]
     else:
         columns = [key.name if key else "value"]
         rows = [[v] for v in (dataset.raw_columns[key.name] if key else [])]
@@ -610,10 +596,9 @@ def _render_alignment(svg, spec, dataset, bound, graph):
         rank = {cat: i for i, cat in enumerate(order)}
         records.sort(key=lambda rec: rank.get(rec[0].strip(), len(rank)))
     n_pos = min(ALIGN_MAX_POSITIONS, max((len(seq) for _, seq in records), default=0))
-    rows = len(records)
-    if rows == 0 or n_pos == 0:
-        raise DataMismatch(f"{spec.id}: no sequences to draw")
-    cell_w = (PLOT_W - 60) / n_pos
+    rows = len(records)  # never 0: a FASTA file holds at least one record
+    # records with no bases still get their id labels, and no cells
+    cell_w = (PLOT_W - 60) / max(1, n_pos)
     cell_h = min(14.0, PLOT_H / rows)
     show_labels = rows <= MAX_LEAF_LABELS
     cell = _PerKey(lambda base: svg.attrs(fill=BASE_COLORS.get(base, "#bbbbbb"), class_="mark"))

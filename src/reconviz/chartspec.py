@@ -20,6 +20,7 @@ from pathlib import Path
 from .designspace import RelevanceTable
 from .errors import ConfigError, ConstraintViolation, read_config_json
 from .ingest import Dataset, Field
+from .record import Record
 
 CHANNELS = ("x", "y", "color", "shape", "size")
 CONSTRAINTS = ("numeric", "non-numeric", "non-numeric_low_card", "non-numeric_high_card", "any")
@@ -159,23 +160,14 @@ def assign_field_to_slot(
     return Binding(field.name, field.source_id)
 
 
-class Binding:
+class Binding(Record):
     __slots__ = ("field", "source")
-
-    def __init__(self, field: str, source: str):
-        self.field = field
-        self.source = source
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.source) == (other.field, other.source)
 
     def key(self) -> tuple[str, str]:
         return (self.source, self.field)
 
 
-class ChartSpec:
+class ChartSpec(Record):
     __slots__ = ("id", "chart_type", "dataset_id", "dtype", "relevance", "bindings",
                  "required_channels", "annotations", "swappable")
 
@@ -194,11 +186,6 @@ class ChartSpec:
         # template's slot on the other channel; decided when the spec is
         # generated, not serialized.
         self.swappable = swappable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def positional_bindings(self) -> dict[str, Binding]:
         return {ch: b for ch, b in self.bindings.items() if ch in ("x", "y")}

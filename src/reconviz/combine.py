@@ -32,6 +32,7 @@ from .chartspec import Binding, ChartSpec
 from .entitygraph import EntityGraph, NodeKey
 from .errors import ConfigError, MultipleImmutable, read_config_text
 from .ingest import Dataset, Field, extent, present
+from .record import Record
 
 IMMUTABLE_CHART_TYPES = frozenset({"phylogenetic tree", "geographic map", "image"})
 
@@ -66,8 +67,11 @@ class ViabilityMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ViabilityMatrix":
-        rows = list(csv.reader(io.StringIO(read_config_text(path, "viability matrix"))))
-        rows = [row for row in rows if row]
+        reader = csv.reader(io.StringIO(read_config_text(path, "viability matrix")))
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:  # such as a cell past the csv module's field size limit
+            raise ConfigError(f"viability matrix {path}: {exc}")
         if not rows:
             raise ConfigError(f"viability matrix {path} is empty")
         header = [h.strip() for h in rows[0][1:]]
@@ -112,13 +116,8 @@ class SpatialGroup:
         }
 
 
-class ColorGroup:
+class ColorGroup(Record):
     __slots__ = ("member_ids", "shared_field", "palette")
-
-    def __init__(self, member_ids: list[str], shared_field: str, palette: dict[str, str]):
-        self.member_ids = member_ids
-        self.shared_field = shared_field
-        self.palette = palette
 
     def to_dict(self) -> dict:
         return {
@@ -188,8 +187,6 @@ def which_spatially_align(
         for size in range(len(ids), 1, -1):
             for subset in combinations(ids, size):
                 types = [by_id[sid].chart_type for sid in subset]
-                if any(t not in matrix.chart_types for t in types):
-                    continue
                 if not all(matrix.supported(a, b) for a, b in combinations(types, 2)):
                     continue
                 immutable = [t for t in types if t in IMMUTABLE_CHART_TYPES]

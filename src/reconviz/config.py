@@ -16,6 +16,7 @@ from .designspace import DEFAULT_DECAY
 from .entitygraph import DEFAULT_MIN_JACCARD
 from .errors import ConfigError, read_config_json
 from .ingest import DATA_TYPES, Dataset, load_dataset
+from .record import Record
 
 ASSETS_DIR = Path(__file__).parent / "assets"
 
@@ -59,14 +60,8 @@ CONFIG_KEYS = {
 ASSET_FIELDS = ("design_space", "type_encodings", "viability_matrix", "templates")
 
 
-class ManifestEntry:
+class ManifestEntry(Record):
     __slots__ = ("id", "path", "dtype", "associated")
-
-    def __init__(self, id: str, path: Path, dtype: str, associated: Path | None = None):
-        self.id = id
-        self.path = path
-        self.dtype = dtype
-        self.associated = associated
 
 
 class RunConfig:

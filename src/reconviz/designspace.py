@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import (AllZeroCounts, ConfigError, EmptyDesignSpace, UnmappedDataType,
                      read_config_json, read_config_text)
+from .record import Record
 
 DEFAULT_DECAY = 0.9
 SCALE_TOP = 10.0
@@ -39,7 +40,10 @@ class PrevalenceDesignSpace:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PrevalenceDesignSpace":
-        rows = list(csv.DictReader(io.StringIO(read_config_text(path, "design space file"))))
+        try:
+            rows = list(csv.DictReader(io.StringIO(read_config_text(path, "design space file"))))
+        except csv.Error as exc:  # such as a cell past the csv module's field size limit
+            raise ConfigError(f"design space file {path}: {exc}")
         if not rows:
             raise EmptyDesignSpace(f"design space file {path} has no rows")
         entries = []
@@ -70,12 +74,8 @@ def raw_relevance(space: PrevalenceDesignSpace, decay: float = DEFAULT_DECAY) ->
     return dict(sorted(totals.items()))
 
 
-class RelevanceTable:
+class RelevanceTable(Record):
     __slots__ = ("raw", "scaled")
-
-    def __init__(self, raw: dict[str, float], scaled: dict[str, float]):
-        self.raw = raw
-        self.scaled = scaled
 
     def score(self, chart_type: str) -> float:
         return self.scaled[chart_type]

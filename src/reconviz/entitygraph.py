@@ -19,6 +19,7 @@ from operator import or_
 from .errors import EmptySet
 from .ingest import Field
 from .jsonout import json_text
+from .record import Record
 from .svg import SvgBuilder
 
 DEFAULT_MIN_JACCARD = 0.0
@@ -46,18 +47,8 @@ def spoke_key(field: Field) -> NodeKey:
     return (SPOKE, field.source_id, field.name)
 
 
-class LinkEdge:
+class LinkEdge(Record):
     __slots__ = ("a", "b", "weight")
-
-    def __init__(self, a: NodeKey, b: NodeKey, weight: Fraction):
-        self.a = a
-        self.b = b
-        self.weight = weight
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.weight) == (other.a, other.b, other.weight)
 
 
 class EntityGraph:
@@ -206,21 +197,8 @@ def build_entity_graph(
     return EntityGraph(hubs, spokes, links)
 
 
-class GraphPath:
-    __slots__ = ("nodes", "hubs", "link_edges", "component_id")
-
-    def __init__(self, nodes: tuple[NodeKey, ...], hubs: tuple[str, ...],
-                 link_edges: tuple[LinkEdge, ...], component_id: int):
-        self.nodes = nodes
-        self.hubs = hubs  # dataset ids, in path order
-        self.link_edges = link_edges
-        self.component_id = component_id
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.nodes, self.hubs, self.link_edges, self.component_id)
-                == (other.nodes, other.hubs, other.link_edges, other.component_id))
+class GraphPath(Record):
+    __slots__ = ("nodes", "hubs", "link_edges", "component_id")  # hubs: dataset ids, in path order
 
     def describe(self) -> dict:
         return {

@@ -21,6 +21,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import AllMissing, ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
+from .record import Record
 
 MISSING_MARKERS = {"", "na", "nan", "null"}
 
@@ -52,12 +53,8 @@ def extent(values: list[float]) -> tuple[float, float]:
     return (min(values), max(values)) if values else (0.0, 1.0)
 
 
-class Table:
+class Table(Record):
     __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: tuple[str, ...], rows: tuple[tuple[str, ...], ...]):
-        self.columns = columns
-        self.rows = rows
 
     def column(self, name: str) -> list[str]:
         idx = self.columns.index(name)
@@ -99,34 +96,24 @@ class TreeNode:
         return {"tip_label": self.leaf_labels()}
 
 
-class SequenceSet:
-    __slots__ = ("records",)
-
-    def __init__(self, records: tuple[tuple[str, str], ...]):
-        self.records = records  # (id, sequence)
+class SequenceSet(Record):
+    __slots__ = ("records",)  # (id, sequence)
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
         return {"seq_id": [rec_id for rec_id, _ in self.records]}
 
 
-class Feature:
-    __slots__ = ("properties", "polygons")
-
-    def __init__(self, properties: dict, polygons: tuple):
-        self.properties = properties
-        self.polygons = polygons  # tuple of polygons; each polygon is a tuple of (lon, lat) ring points
+class Feature(Record):
+    __slots__ = ("properties", "polygons")  # polygons: each a tuple of (lon, lat) ring points
 
 
 def _property_text(value) -> str:
     return "" if value is None else str(value)
 
 
-class FeatureSet:
+class FeatureSet(Record):
     __slots__ = ("features",)
-
-    def __init__(self, features: tuple[Feature, ...]):
-        self.features = features
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
@@ -137,12 +124,8 @@ class FeatureSet:
                 for name in names}
 
 
-class EdgeTable:
+class EdgeTable(Record):
     __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: tuple[str, ...], rows: tuple[tuple[str, ...], ...]):
-        self.columns = columns
-        self.rows = rows
 
     def node_ids(self) -> list[str]:
         seen = []
@@ -164,11 +147,8 @@ class EdgeTable:
         return columns
 
 
-class ImageRef:
+class ImageRef(Record):
     __slots__ = ("path",)
-
-    def __init__(self, path: str):
-        self.path = path
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
@@ -237,26 +217,17 @@ class Field:
         return self.kind == "numeric"
 
 
-class FieldMetadata:
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[dict, ...]):
-        self.entries = entries
+class FieldMetadata(Record):
+    __slots__ = ("fields",)  # sorted by (source_id, name)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["field", "source", "kind", "cardinality", "sample_values"])
-        for entry in self.entries:
-            writer.writerow(
-                [
-                    entry["field"],
-                    entry["source"],
-                    entry["kind"],
-                    "" if entry["cardinality"] is None else entry["cardinality"],
-                    ";".join(entry["sample_values"]),
-                ]
-            )
+        for f in self.fields:
+            samples = sorted(f.values)[:SAMPLE_VALUES] if f.values is not None else []
+            writer.writerow([f.name, f.source_id, f.kind,
+                             "" if f.cardinality is None else f.cardinality, ";".join(samples)])
         return buf.getvalue()
 
 
@@ -305,8 +276,11 @@ def _read_text(path: Path, dtype: str) -> str:
 
 
 def _read_csv_table(path: Path, dtype: str) -> Table:
-    rows = list(csv.reader(io.StringIO(_read_text(path, dtype))))
-    rows = [row for row in rows if row]
+    reader = csv.reader(io.StringIO(_read_text(path, dtype)))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # such as a cell past the csv module's field size limit
+        raise ParseError(dtype, str(path), str(exc), line=reader.line_num)
     if not rows:
         raise ParseError(dtype, str(path), "file is empty")
     header = tuple(col.strip() for col in rows[0])
@@ -623,17 +597,4 @@ def explode_fields(datasets: list[Dataset]) -> tuple[list[Field], FieldMetadata]
     for dataset in datasets:
         fields.extend(_dataset_fields(dataset))
     fields.sort(key=lambda f: (f.source_id, f.name))
-
-    entries = []
-    for f in fields:
-        samples = sorted(f.values)[:SAMPLE_VALUES] if f.values is not None else []
-        entries.append(
-            {
-                "field": f.name,
-                "source": f.source_id,
-                "kind": f.kind,
-                "cardinality": f.cardinality,
-                "sample_values": samples,
-            }
-        )
-    return fields, FieldMetadata(tuple(entries))
+    return fields, FieldMetadata(tuple(fields))

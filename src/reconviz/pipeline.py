@@ -17,30 +17,23 @@ from .chartspec import (
     spec_order,
 )
 from .charts import render_chart
-from .combine import CombinationPlan, ViabilityMatrix, bind_alignment, build_plan
+from .combine import ViabilityMatrix, bind_alignment, build_plan
 from .config import RunConfig
 from .designspace import RelevanceTable, TypeEncodingMap
 from .entitygraph import EntityGraph, build_entity_graph
 from .ingest import Dataset, FieldMetadata, explode_fields
 from .jsonout import json_text
-from .layout import ViewLayout, arrange_grid, render_view
-from .ranking import RankedPath, rank_paths
+from .layout import arrange_grid, render_view
+from .ranking import rank_paths
+from .record import Record
 
 TOOL_VERSION = f"reconviz {__version__}"
 
 _SEED_STRIDE = 1_000_003  # mixes (global seed, path rank) into one PRNG seed
 
 
-class View:
-    __slots__ = ("index", "ranked", "specs", "plan", "layout")
-
-    def __init__(self, index: int, ranked: RankedPath, specs: list[ChartSpec],
-                 plan: CombinationPlan, layout: ViewLayout):
-        self.index = index  # 1-based, in rank order
-        self.ranked = ranked
-        self.specs = specs
-        self.plan = plan
-        self.layout = layout
+class View(Record):
+    __slots__ = ("index", "ranked", "specs", "plan", "layout")  # index: 1-based, in rank order
 
     def to_dict(self) -> dict:
         return {
@@ -52,15 +45,8 @@ class View:
         }
 
 
-class Assembly:
+class Assembly(Record):
     __slots__ = ("datasets", "graph", "ranked", "views")
-
-    def __init__(self, datasets: dict[str, Dataset], graph: EntityGraph,
-                 ranked: list[RankedPath], views: list[View]):
-        self.datasets = datasets
-        self.graph = graph
-        self.ranked = ranked
-        self.views = views
 
     def views_json(self) -> str:
         return json_text([v.to_dict() for v in self.views])

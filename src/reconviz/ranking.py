@@ -11,29 +11,17 @@ and the best possible score is 3.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .designspace import RelevanceTable, TypeEncodingMap
 from .entitygraph import EntityGraph, GraphPath, connected_components, enumerate_paths, path_strength
 from .errors import UnknownDataset
 from .jsonout import json_text
+from .record import Record
 
 
-class RankedPath:
+class RankedPath(Record):
     __slots__ = ("path", "strength", "diversity", "encoding_relevance", "rank_strength",
                  "rank_diversity", "rank_relevance", "path_score")
-
-    def __init__(self, path: GraphPath, strength: Fraction, diversity: int,
-                 encoding_relevance: float, rank_strength: int, rank_diversity: int,
-                 rank_relevance: int, path_score: int):
-        self.path = path
-        self.strength = strength
-        self.diversity = diversity
-        self.encoding_relevance = encoding_relevance
-        self.rank_strength = rank_strength
-        self.rank_diversity = rank_diversity
-        self.rank_relevance = rank_relevance
-        self.path_score = path_score
 
     def describe(self) -> dict:
         doc = self.path.describe()

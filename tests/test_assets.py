@@ -92,6 +92,13 @@ class TestAssetFilesExitTwo:
         cfg = fig1_config(tmp_path, **{key: SHIPPED[key].read_bytes() + b"\xff\xfe\n"})
         assert_input_error(cfg, command, f"{key}.csv", "not UTF-8")
 
+    @pytest.mark.parametrize("key", ["viability_matrix", "design_space"])
+    def test_csv_asset_with_a_cell_past_the_field_limit(self, tmp_path, command, key):
+        """A cell of more than the csv module's 131,072-character field size
+        limit raised `_csv.Error`, and the run ended in a traceback."""
+        cfg = fig1_config(tmp_path, **{key: SHIPPED[key].read_bytes() + b"x" * 140_000 + b",1,1\n"})
+        assert_input_error(cfg, command, f"{key}.csv", "field larger than field limit")
+
     def test_template_without_chart_type(self, tmp_path, command):
         templates = shipped_json("templates")
         del templates[1]["chart_type"]

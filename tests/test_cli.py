@@ -283,6 +283,9 @@ MALFORMED_INPUTS = {
     "csv_empty": ("tabular", "x.csv", b""),
     "csv_duplicate_header": ("tabular", "x.csv", b"sample_id,grp,grp\na,X,Y\n"),
     "csv_ragged_row": ("tabular", "x.csv", b"sample_id,grp\na,X\nb,Y,Z\n"),
+    # a cell past the csv module's field size limit raised _csv.Error: exit 1
+    "csv_cell_past_field_limit": ("tabular", "x.csv",
+                                  b"sample_id,grp\na,X\nb," + b"Y" * 200_000 + b"\n"),
     "edge_list_one_column": ("network", "e.csv", b"source\na\nb\n"),
 }
 
@@ -543,6 +546,98 @@ class TestGeoJsonProperty:
 def assert_no_empty_polygon(out: Path) -> None:
     for path in out.glob("*.svg"):
         assert 'points=""' not in path.read_text(), path.name
+
+
+def render_next_to_fig1(fig1_dir, name: str, content: bytes, dtype: str) -> None:
+    """Write one generated file next to the fig1 tree and case table, then
+    run `link` and render every view: the CLI exits 0, 2 or 3 (an input
+    error, or no such view), never 1, and every SVG parses, is finite and
+    holds no empty polygon."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / name).write_bytes(content)
+        manifest = fig1_datasets(fig1_dir)[:2]
+        manifest.append({"id": "gen", "path": str(root / name), "dtype": dtype})
+        cfg = write_config(root, manifest)
+        assert run(["link", "--config", cfg]) in (0, 2, 3)
+        render_every_view(cfg)
+        assert_no_empty_polygon(root / "out")
+
+
+# Record and node ids: fig1 tip and case ids (so the generated file links to
+# the tree and the table), ids of its own, and missing markers.
+_FIG1_IDS = ["A01", "A02", "A03", "A05", "A08", "C001", "C002", "C004", "x1", "x2",
+             "NA", "na", "null", "NULL"]
+_SEQUENCE_LINES = st.text(alphabet="ACGTacgtNnRY-?*U", min_size=1, max_size=30)
+
+
+@st.composite
+def fasta_files(draw):
+    """FASTA bytes: one to eight records with unique ids, each sequence
+    split over up to three lines of upper- or lower-case bases, gaps and
+    non-ACGT letters; in some files every record is empty. Blank lines fall
+    between records and inside sequences."""
+    ids = draw(st.lists(st.sampled_from(_FIG1_IDS), min_size=1, max_size=8, unique=True))
+    all_empty = draw(st.booleans())
+    lines = []
+    for rec_id in ids:
+        lines.append(f">{rec_id}{draw(st.sampled_from(['', ' description']))}")
+        for _ in range(0 if all_empty else draw(st.integers(0, 3))):
+            lines.append(draw(st.one_of(_SEQUENCE_LINES, _SEQUENCE_LINES, st.just(""))))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge-list CSV bytes: `source,target` and up to two attribute columns;
+    endpoints are fig1 ids, other ids, blank or `NA`, and an edge may be a
+    self-loop; in some files one row is short or long."""
+    attributes = draw(st.lists(st.sampled_from(["kind", "w"]), max_size=2, unique=True))
+    endpoints = st.one_of(st.sampled_from(_FIG1_IDS), st.sampled_from(["", " ", "NA"]))
+    cells = {"kind": st.sampled_from(["contact", "household", "NA", ""]),
+             "w": st.one_of(_NUMBER_CELLS, _MISSING_CELLS)}
+    rows = [["source", "target", *attributes]]
+    for _ in range(draw(st.integers(1, 10))):
+        source = draw(endpoints)
+        target = source if draw(st.integers(0, 4)) == 0 else draw(endpoints)
+        rows.append([source, target, *(draw(cells[name]) for name in attributes)])
+    if draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows[1:]))
+        if draw(st.booleans()):
+            row.append("extra")
+        else:
+            row.pop()
+    return _table(rows)
+
+
+class TestSequenceAndEdgeListProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(fasta_files())
+    def test_fasta_next_to_fig1_exits_cleanly_with_finite_views(self, fig1_dir, fasta):
+        render_next_to_fig1(fig1_dir, "s.fasta", fasta, "genomic")
+
+    @settings(max_examples=25, deadline=None)
+    @given(edge_lists())
+    def test_edge_lists_next_to_fig1_exit_cleanly_with_finite_views(self, fig1_dir, edges):
+        render_next_to_fig1(fig1_dir, "e.csv", edges, "network")
+
+    def test_alignment_of_empty_sequences_draws_only_the_ids(self, tmp_path):
+        """Found by the FASTA property test: records with no sequence data
+        made `render` exit 1 with "no sequences to draw"."""
+        (tmp_path / "s.fasta").write_text(">a\n>b\n")
+        (tmp_path / "m.csv").write_text("sample_id,grp\na,X\nb,Y\nc,X\nd,Y\n")
+        cfg = write_config(tmp_path, [
+            {"id": "seqs", "path": str(tmp_path / "s.fasta"), "dtype": "genomic"},
+            {"id": "m", "path": str(tmp_path / "m.csv"), "dtype": "tabular"},
+        ])
+        assert run(["render", "--config", cfg, "--view", "1"]) == 0
+        root = ET.parse(tmp_path / "out" / "view_001.svg").getroot()
+        alignment = next(g for g in root.iter(f"{SVG_NS}g")
+                         if g.get("data-cell") == "seqs:genomic alignment table")
+        assert [t.text for t in alignment.iter(f"{SVG_NS}text") if t.get("class") == "tick-y"] \
+            == ["a", "b"]
+        assert not [el for el in alignment.iter() if el.get("class") == "mark"]
 
 
 class TestRobustness:

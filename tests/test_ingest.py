@@ -345,7 +345,7 @@ class TestExplodeFields:
     def test_empty_input(self):
         fields, metadata = explode_fields([])
         assert fields == []
-        assert metadata.entries == ()
+        assert metadata.fields == ()
 
     def test_duplicate_dataset_ids(self):
         ds = make_table(["a"], [["1"], ["2"]])
