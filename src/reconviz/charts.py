@@ -140,12 +140,12 @@ class BandScale:
 
 
 def _palette_for(spec: ChartSpec, color: Field | None) -> dict[str, str]:
+    if color is None:
+        return {}
     stamped = spec.annotations.get("palette")
     if stamped:
         return dict(stamped)
-    if color is not None and color.values is not None:
-        return build_palette(sorted(color.values))
-    return {}
+    return build_palette(sorted(color.values or ()))
 
 
 def _frame(svg: SvgBuilder, spec: ChartSpec) -> None:
@@ -208,19 +208,23 @@ def _clip(text: str, limit: int) -> str:
     return text if len(text) <= limit else text[: limit - 1] + "…"
 
 
+def _shared(spec: ChartSpec, channel: str, key: str):
+    """The spec's stamped annotation `key` if `channel` is its shared axis."""
+    if spec.annotations.get("shared_axis") == channel:
+        return spec.annotations.get(key)
+    return None
+
+
 def _domain_for(spec: ChartSpec, channel: str, field: Field) -> list[str]:
     """Categorical domain: the stamped shared ordering when this channel is the
     shared axis, otherwise sorted distinct values."""
-    if spec.annotations.get("shared_axis") == channel and spec.annotations.get("domain_order"):
-        return list(spec.annotations["domain_order"])
-    return sorted(field.values)
+    order = _shared(spec, channel, "domain_order")
+    return list(order) if order else sorted(field.values)
 
 
 def _axis_numeric_domain(spec: ChartSpec, channel: str, values: list[float]) -> tuple[float, float]:
-    if spec.annotations.get("shared_axis") == channel and spec.annotations.get("axis_domain"):
-        lo, hi = spec.annotations["axis_domain"]
-        return float(lo), float(hi)
-    return extent(values)
+    domain = _shared(spec, channel, "axis_domain")
+    return (float(domain[0]), float(domain[1])) if domain else extent(values)
 
 
 def _plot_range(channel: str) -> tuple[float, float]:
@@ -238,14 +242,12 @@ def _scale_for(spec: ChartSpec, channel: str, field: Field):
     return BandScale(_domain_for(spec, channel, field), out_lo, out_hi)
 
 
-def _legend(svg: SvgBuilder, palette: dict[str, str], used: list[str]) -> None:
+def _legend(svg: SvgBuilder, palette: dict[str, str]) -> None:
+    """Swatches of the first six categories, sorted; none for an empty palette."""
     x = MARGIN_L + 4
     y = MARGIN_T - 10
-    for cat in used[:6]:
-        color = palette.get(cat)
-        if color is None:
-            continue
-        svg.rect(x, y - 7, 8, 8, fill=color, **{"class": "legend-swatch", "data-category": cat})
+    for cat in sorted(palette)[:6]:
+        svg.rect(x, y - 7, 8, 8, fill=palette[cat], **{"class": "legend-swatch", "data-category": cat})
         svg.text(x + 11, y, _clip(cat, 10), font_size=8, fill=AXIS_COLOR, font_family="sans-serif")
         x += 11 + 6.5 * min(len(cat), 10) + 10
 
@@ -285,8 +287,7 @@ def _render_scatter(svg, spec, dataset, bound, graph):
         cat = _at(color, i)
         marks.append((px, py, 3, plain if cat is None else colored[cat]))
     svg.circles(marks)
-    if color is not None:
-        _legend(svg, palette, sorted(palette))
+    _legend(svg, palette)
     _axis_label(svg, spec, "x")
     _axis_label(svg, spec, "y")
 
@@ -317,7 +318,7 @@ def _render_bar(svg, spec, dataset, bound, graph):
         center = xs.position(cat)
         if center is None or counts[cat] == 0:
             continue
-        if color is not None and stacks[cat]:
+        if stacks[cat]:
             base = MARGIN_T + PLOT_H
             for sub in sorted(stacks[cat]):
                 h = (MARGIN_T + PLOT_H) - ys(stacks[cat][sub])
@@ -330,8 +331,7 @@ def _render_bar(svg, spec, dataset, bound, graph):
             bars.append((center - width / 2, MARGIN_T + PLOT_H - h, width, h,
                          svg.attrs(fill=MARK_COLOR, class_="mark", data_category=cat)))
     svg.rects(bars)
-    if color is not None:
-        _legend(svg, palette, sorted(palette))
+    _legend(svg, palette)
     _axis_label(svg, spec, "x")
     _axis_label(svg, spec, "y", "count")
 
@@ -384,8 +384,9 @@ def _heatmap_axis(field: Field, spec: ChartSpec, channel: str) -> tuple[BandScal
     """
     column = field.column
     out_lo, out_hi = _plot_range(channel)
-    if spec.annotations.get("shared_axis") == channel and spec.annotations.get("domain_order"):
-        return BandScale(spec.annotations["domain_order"], out_lo, out_hi), column
+    order = _shared(spec, channel, "domain_order")
+    if order:
+        return BandScale(order, out_lo, out_hi), column
     if not field.numeric:
         days = {v: _iso_day(v) for v in present(column)}
         if days and None not in days.values():
@@ -478,7 +479,7 @@ def _render_tree(svg, spec, dataset, bound, graph):
     if color is not None:
         # the colour field's rows follow the associated key column, or else the tip ids
         on_tips = dataset.associated is None or color.name in root.raw_columns
-        keys = dataset.primary_ids() if on_tips else dataset.associated.column(dataset.associated_key)
+        keys = dataset.primary_ids() if on_tips else dataset.associated.raw_columns[dataset.associated_key]
         leaf_color = {k.strip(): v for k, v in zip(keys, color.column)}
 
     # Each branch's two lines, depth first, left to right: (parent x, y, child).
@@ -513,8 +514,7 @@ def _render_tree(svg, spec, dataset, bound, graph):
             svg.text(xs(lx) + 8, ly + 2.5, _clip(label, 12), font_size=8, fill=TEXT_COLOR,
                      font_family="sans-serif", **{"class": "tick-y"})
     svg.circles(marks)
-    if color is not None:
-        _legend(svg, palette, sorted(palette))
+    _legend(svg, palette)
 
 
 def _render_map(svg, spec, dataset, bound, graph):
@@ -554,8 +554,7 @@ def _render_map(svg, spec, dataset, bound, graph):
         for poly in feat.polygons:
             svg.polygon([(xs(lon), ys(lat)) for lon, lat in poly], fill=fill,
                         stroke="#666666", stroke_width=0.7, **{"class": "mark"}, **attrs)
-    if color is not None:
-        _legend(svg, palette, sorted(palette))
+    _legend(svg, palette)
     if region is not None:
         _axis_label(svg, spec, "x", region.name)
 

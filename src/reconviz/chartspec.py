@@ -168,24 +168,10 @@ class Binding(Record):
 
 
 class ChartSpec(Record):
+    # swappable: x and y are both bound and each field would pass the template's slot
+    # on the other channel; decided when the spec is generated, not serialized
     __slots__ = ("id", "chart_type", "dataset_id", "dtype", "relevance", "bindings",
                  "required_channels", "annotations", "swappable")
-
-    def __init__(self, id: str, chart_type: str, dataset_id: str, dtype: str, relevance: float,
-                 bindings: dict[str, Binding], required_channels: tuple[str, ...],
-                 annotations: dict | None = None, swappable: bool = True):
-        self.id = id
-        self.chart_type = chart_type
-        self.dataset_id = dataset_id
-        self.dtype = dtype
-        self.relevance = relevance
-        self.bindings = bindings
-        self.required_channels = required_channels
-        self.annotations = {} if annotations is None else annotations
-        # Whether x and y are both bound and each field would still pass the
-        # template's slot on the other channel; decided when the spec is
-        # generated, not serialized.
-        self.swappable = swappable
 
     def positional_bindings(self) -> dict[str, Binding]:
         return {ch: b for ch, b in self.bindings.items() if ch in ("x", "y")}
@@ -315,6 +301,7 @@ def _fill_template(
         relevance=relevance,
         bindings=bindings,
         required_channels=required,
+        annotations={},
         swappable=swappable,
     )
 

@@ -203,9 +203,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_render(config, view)
         return {"link": cmd_link, "graph": cmd_graph, "specs": cmd_specs,
                 "relevance": cmd_relevance}[command](config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

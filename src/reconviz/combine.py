@@ -28,7 +28,7 @@ import random
 from itertools import combinations
 from pathlib import Path
 
-from .chartspec import Binding, ChartSpec
+from .chartspec import ChartSpec
 from .entitygraph import EntityGraph, NodeKey
 from .errors import ConfigError, MultipleImmutable, read_config_text
 from .ingest import Dataset, Field, extent, present
@@ -90,21 +90,13 @@ class ViabilityMatrix:
             raise ConfigError(f"viability matrix {path}: {exc}")
 
 
-class SpatialGroup:
-    __slots__ = ("member_ids", "lead_id", "shared_field", "axis", "domain", "shared_bindings",
-                 "numeric")
-
-    def __init__(self, member_ids: list[str], lead_id: str, shared_field: str, axis: str,
-                 domain: list | None = None, shared_bindings: dict[str, Binding] | None = None,
-                 numeric: bool = False):
-        self.member_ids = member_ids
-        self.lead_id = lead_id
-        self.shared_field = shared_field  # qualified name of the lead's bound field
-        self.axis = axis  # "x" | "y": the channel carrying the shared field in every member
-        self.domain = domain  # categorical order, or [lo, hi] for numeric
-        # member id -> the binding of its shared field; not serialized
-        self.shared_bindings = {} if shared_bindings is None else shared_bindings
-        self.numeric = numeric  # domain is [lo, hi] rather than a category order; not serialized
+class SpatialGroup(Record):
+    __slots__ = ("member_ids", "lead_id",
+                 "shared_field",  # qualified name of the lead's bound field
+                 "axis",  # "x" | "y": the channel carrying the shared field in every member
+                 "domain",  # categorical order, or [lo, hi] for numeric
+                 "shared_bindings",  # member id -> its shared field's binding; not serialized
+                 "numeric")  # whether the domain is [lo, hi]; not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -127,15 +119,8 @@ class ColorGroup(Record):
         }
 
 
-class CombinationPlan:
-    __slots__ = ("spatial", "color_groups", "unaligned", "seed")
-
-    def __init__(self, spatial: SpatialGroup | None, color_groups: list[ColorGroup],
-                 unaligned: list[str], seed: int = 0):
-        self.spatial = spatial
-        self.color_groups = color_groups
-        self.unaligned = unaligned
-        self.seed = seed
+class CombinationPlan(Record):
+    __slots__ = ("spatial", "color_groups", "unaligned", "seed")  # spatial: a SpatialGroup or None
 
     def to_dict(self) -> dict:
         return {

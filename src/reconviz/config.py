@@ -39,21 +39,22 @@ KINDS = {
                                         and all(isinstance(v, str) for v in value)),
 }
 
-# config-file key -> (RunConfig field, what the file's value must be)
-CONFIG_KEYS = {
-    "design_space": ("design_space", "a string"),
-    "type_encodings": ("type_encodings", "a string"),
-    "viability_matrix": ("viability_matrix", "a string"),
-    "templates": ("templates", "a string"),
-    "out_dir": ("out_dir", "a string"),
-    "user_fields": ("user_fields", "a list of strings"),
-    "min_jaccard": ("min_jaccard", "a number"),
-    "lambda": ("decay", "a number"),
-    "highcard_threshold": ("highcard_threshold", "an integer"),
-    "color_card_limit": ("color_card_limit", "an integer"),
-    "max_charts": ("max_charts", "an integer"),
-    "max_views_per_component": ("max_views_per_component", "an integer"),
-    "seed": ("seed", "an integer"),
+# RunConfig field -> (config-file key, what the file's value must be, default),
+# in the order the file's keys are checked
+SETTINGS = {
+    "design_space": ("design_space", "a string", DEFAULT_DESIGN_SPACE),
+    "type_encodings": ("type_encodings", "a string", DEFAULT_ENCODING_MAP),
+    "viability_matrix": ("viability_matrix", "a string", DEFAULT_VIABILITY),
+    "templates": ("templates", "a string", DEFAULT_TEMPLATES),
+    "out_dir": ("out_dir", "a string", Path("out")),
+    "user_fields": ("user_fields", "a list of strings", ()),
+    "min_jaccard": ("min_jaccard", "a number", DEFAULT_MIN_JACCARD),
+    "decay": ("lambda", "a number", DEFAULT_DECAY),
+    "highcard_threshold": ("highcard_threshold", "an integer", DEFAULT_HIGHCARD_THRESHOLD),
+    "color_card_limit": ("color_card_limit", "an integer", DEFAULT_COLOR_CARD_LIMIT),
+    "max_charts": ("max_charts", "an integer", 5),
+    "max_views_per_component": ("max_views_per_component", "an integer", 10),
+    "seed": ("seed", "an integer", 0),
 }
 # data files the pipeline reads; they and out_dir resolve against the config
 # file's directory
@@ -65,30 +66,17 @@ class ManifestEntry(Record):
 
 
 class RunConfig:
-    __slots__ = ("datasets", "design_space", "type_encodings", "viability_matrix", "templates",
-                 "user_fields", "min_jaccard", "decay", "highcard_threshold", "color_card_limit",
-                 "max_charts", "max_views_per_component", "seed", "out_dir")
+    """The manifest, then each SETTINGS field: its keyword argument, else its default."""
 
-    def __init__(
-        self,
-        datasets: tuple[ManifestEntry, ...] = (),
-        design_space: Path = DEFAULT_DESIGN_SPACE,
-        type_encodings: Path = DEFAULT_ENCODING_MAP,
-        viability_matrix: Path = DEFAULT_VIABILITY,
-        templates: Path = DEFAULT_TEMPLATES,
-        user_fields: tuple[str, ...] = (),
-        min_jaccard: float = DEFAULT_MIN_JACCARD,
-        decay: float = DEFAULT_DECAY,
-        highcard_threshold: int = DEFAULT_HIGHCARD_THRESHOLD,
-        color_card_limit: int = DEFAULT_COLOR_CARD_LIMIT,
-        max_charts: int = 5,
-        max_views_per_component: int = 10,
-        seed: int = 0,
-        out_dir: Path = Path("out"),
-    ):
-        given = locals()
-        for name in self.__slots__:
-            object.__setattr__(self, name, given[name])
+    __slots__ = ("datasets", *SETTINGS)
+
+    def __init__(self, datasets: tuple[ManifestEntry, ...] = (), **settings):
+        unknown = sorted(settings.keys() - SETTINGS.keys())
+        if unknown:
+            raise TypeError(f"RunConfig() got an unexpected keyword argument {unknown[0]!r}")
+        object.__setattr__(self, "datasets", datasets)
+        for name, (_, _, default) in SETTINGS.items():
+            object.__setattr__(self, name, settings.get(name, default))
         self.validate()
 
     def __setattr__(self, name, value):
@@ -134,7 +122,7 @@ class RunConfig:
                 for e in self.datasets
             ],
         }
-        for key, (name, _) in CONFIG_KEYS.items():
+        for name, (key, _, _) in SETTINGS.items():
             value = getattr(self, name)
             if name in ASSET_FIELDS:
                 doc[key] = str(value)
@@ -201,7 +189,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
 
     paths = (*ASSET_FIELDS, "out_dir")
     settings = {}
-    for key, (name, kind) in CONFIG_KEYS.items():
+    for name, (key, kind, _) in SETTINGS.items():
         value = doc.get(key)
         if value is None or name in overrides:
             continue

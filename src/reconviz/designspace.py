@@ -107,12 +107,8 @@ def relevance_from_space(space: PrevalenceDesignSpace, decay: float = DEFAULT_DE
     return scaled_relevance(raw_relevance(space, decay))
 
 
-class TypeEncodingMap:
-    __slots__ = ("candidates", "path")
-
-    def __init__(self, candidates: dict[str, tuple[str, ...]], path: str | Path | None = None):
-        self.candidates = candidates  # data type -> chart types
-        self.path = path  # the file it was read from, named in errors
+class TypeEncodingMap(Record):
+    __slots__ = ("candidates", "path")  # data type -> chart types; the file read, or None
 
     def _name(self) -> str:
         return "encoding map" if self.path is None else f"encoding map {self.path}"

@@ -47,6 +47,22 @@ def spoke_key(field: Field) -> NodeKey:
     return (SPOKE, field.source_id, field.name)
 
 
+def _classes(keys, neighbors) -> dict[NodeKey, NodeKey]:
+    """Each of `keys`, and each node `neighbors(node)` reaches from it -> the
+    first key of its class in `keys` order; one depth-first search per class."""
+    first: dict[NodeKey, NodeKey] = {}
+    for start in keys:
+        if start not in first:
+            first[start] = start
+            stack = [start]
+            while stack:
+                for neighbor in neighbors(stack.pop()):
+                    if neighbor not in first:
+                        first[neighbor] = start
+                        stack.append(neighbor)
+    return first
+
+
 class LinkEdge(Record):
     __slots__ = ("a", "b", "weight")
 
@@ -78,24 +94,11 @@ class EntityGraph:
         for key in self._adjacency:
             self._adjacency[key].sort(key=lambda item: item[0])
 
-        # Union-find over linkage edges: spoke -> representative spoke. Two
-        # fields in one class carry the same linked identity (e.g. a tree's
-        # tip labels and a table's sample-id column).
-        parent: dict[NodeKey, NodeKey] = {key: key for key in self.fields}
-
-        def find(x: NodeKey) -> NodeKey:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.links:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-        self._link_classes = {key: find(key) for key in self.fields}
+        # Link classes: spoke -> smallest spoke joined to it by linkage edges.
+        # Two fields in one class carry the same linked identity (e.g. a
+        # tree's tip labels and a table's sample-id column).
+        self._link_classes = _classes(self.fields, lambda key: [
+            neighbor for neighbor, weight in self._adjacency[key] if weight is not None])
 
     # -- basic accessors ----------------------------------------------------
 
@@ -163,7 +166,7 @@ def build_entity_graph(
         hubs.setdefault(field.source_id, dtypes.get(field.source_id, ""))
         spokes[spoke_key(field)] = field
 
-    threshold = max(Fraction(0), Fraction(min_jaccard).limit_denominator(10**9))
+    threshold = max(Fraction(0), Fraction(str(min_jaccard)))
     # Value index: bit i of a value's mask stands for keys[i], a non-numeric
     # spoke that holds the value. OR-ing the masks of a spoke's values gives
     # exactly the spokes that share a value with it; every other pair has
@@ -218,30 +221,18 @@ class GraphPath(Record):
 def connected_components(graph: EntityGraph) -> list[EntityGraph]:
     """Partition by connectivity; ordered by descending hub count, then by
     smallest dataset id."""
-    # Label every node with its component in one DFS, then deal the graph's
-    # hubs, fields and links out to their components in one pass each.
-    component_of: dict[NodeKey, int] = {}
-    parts: list[tuple[dict, dict, dict]] = []  # (hubs, fields, links) per component
-    for start in graph.nodes():
-        if start in component_of:
-            continue
-        component_of[start] = len(parts)
-        stack = [start]
-        while stack:
-            for neighbor, _ in graph.neighbors(stack.pop()):
-                if neighbor not in component_of:
-                    component_of[neighbor] = len(parts)
-                    stack.append(neighbor)
-        parts.append(({}, {}, {}))
-
+    # Label every node with its component, then deal the graph's hubs,
+    # fields and links out to their components in one pass each.
+    component_of = _classes(graph.nodes(), lambda node: [n for n, _ in graph.neighbors(node)])
+    parts: dict[NodeKey, tuple[dict, dict, dict]] = {}  # (hubs, fields, links) per component
     for ds, dtype in graph.hubs.items():
-        parts[component_of[hub_key(ds)]][0][ds] = dtype
+        parts.setdefault(component_of[hub_key(ds)], ({}, {}, {}))[0][ds] = dtype
     for key, f in graph.fields.items():
         parts[component_of[key]][1][key] = f
     for (a, b), w in graph.links.items():
         parts[component_of[a]][2][(a, b)] = w
-    components = [EntityGraph(hubs, fields, links) for hubs, fields, links in parts]
-    components.sort(key=lambda c: (-len(c.hubs), min(c.hubs) if c.hubs else ""))
+    components = [EntityGraph(hubs, fields, links) for hubs, fields, links in parts.values()]
+    components.sort(key=lambda c: (-len(c.hubs), min(c.hubs)))
     return components
 
 

@@ -87,7 +87,7 @@ def read_config_text(path: str | Path, what: str) -> str:
     """The text of the UTF-8 config or asset file `path`; `what` names the
     file in the ConfigError raised when it is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} {path} is not UTF-8: {exc}")
 

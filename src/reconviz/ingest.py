@@ -56,10 +56,6 @@ def extent(values: list[float]) -> tuple[float, float]:
 class Table(Record):
     __slots__ = ("columns", "rows")
 
-    def column(self, name: str) -> list[str]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
     @property
     def raw_columns(self) -> dict[str, list[str]]:
         return dict(zip(self.columns, map(list, zip(*self.rows))))
@@ -270,7 +266,7 @@ def _make_field(name: str, source_id: str, raw_values: list[str]) -> Field | Non
 
 def _read_text(path: Path, dtype: str) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(dtype, str(path), f"not UTF-8: {exc}")
 
@@ -296,6 +292,11 @@ def _read_csv_table(path: Path, dtype: str) -> Table:
     return Table(header, tuple(body))
 
 
+_BLANKS = re.compile(r"(?:[ \t\r\n]|\[[^\]]*\])*")  # blanks and closed [] comments
+_LABEL = re.compile(r"[^(),:;\[]*")  # an unquoted label
+_LENGTH = re.compile(r"[^(),;\[]*")  # a branch length
+
+
 def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
     """Parse a single Newick tree: named leaves, optional branch lengths,
     optional quoted labels; [] comment blocks are skipped."""
@@ -305,109 +306,85 @@ def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
     def error(detail: str) -> ParseError:
         return ParseError(TREE, path, detail, line=None)
 
-    def skip_ws() -> None:
+    def skip() -> None:  # past blanks and comments
         nonlocal pos
-        while pos < n:
-            ch = text[pos]
-            if ch in " \t\r\n":
-                pos += 1
-            elif ch == "[":  # comment block
-                end = text.find("]", pos)
-                if end == -1:
-                    raise error(f"unterminated comment at offset {pos}")
-                pos = end + 1
-            else:
-                break
+        if pos < n and text[pos] in " \t\r\n[":
+            pos = _BLANKS.match(text, pos).end()
+            if pos < n and text[pos] == "[":
+                raise error(f"unterminated comment at offset {pos}")
 
-    def parse_label() -> str:
+    def token(regex: re.Pattern) -> str:
+        """The stripped text `regex` matches at `pos`, which moves past it."""
         nonlocal pos
-        skip_ws()
-        if pos < n and text[pos] in "'\"":
-            quote = text[pos]
-            end = text.find(quote, pos + 1)
-            if end == -1:
-                raise error(f"unterminated quoted label at offset {pos}")
-            label = text[pos + 1 : end]
-            pos = end + 1
-            return label
-        start = pos
-        while pos < n and text[pos] not in "(),:;[":
-            pos += 1
+        start, pos = pos, regex.match(text, pos).end()
         return text[start:pos].strip()
 
-    def parse_length() -> float | None:
+    def finish(node: TreeNode) -> None:  # the node's label and branch length
         nonlocal pos
-        skip_ws()
-        if pos < n and text[pos] == ":":
-            pos += 1
-            skip_ws()
-            start = pos
-            while pos < n and text[pos] not in "(),;[":
-                pos += 1
-            token = text[start:pos].strip()
-            try:
-                length = float(token)
-                if math.isfinite(length):
-                    return length
-            except ValueError:
-                pass
-            raise error(f"bad branch length {token!r} at offset {start}")
-        return None
-
-    def finish(node: TreeNode) -> None:
-        label = parse_label()
+        skip()
+        if pos < n and text[pos] in "'\"":
+            end = text.find(text[pos], pos + 1)
+            if end == -1:
+                raise error(f"unterminated quoted label at offset {pos}")
+            label, pos = text[pos + 1 : end], end + 1
+        else:
+            label = token(_LABEL)
         if label:
             node.name = label
-        node.length = parse_length()
+        skip()
+        if pos < n and text[pos] == ":":
+            pos += 1
+            skip()
+            start = pos
+            length = token(_LENGTH)
+            try:
+                node.length = float(length)
+            except ValueError:
+                pass
+            if node.length is None or not math.isfinite(node.length):
+                raise error(f"bad branch length {length!r} at offset {start}")
 
-    def parse_node() -> TreeNode:
-        """One node and its subtree; clades still waiting for their ')' are
-        kept on an explicit stack, so nesting depth is not limited by
-        Python's recursion limit."""
-        nonlocal pos
-        open_clades: list[TreeNode] = []
-        while True:
-            skip_ws()
+    # Clades still waiting for their ')' are kept on an explicit stack, so
+    # nesting depth is not limited by Python's recursion limit.
+    open_clades: list[TreeNode] = []
+    while True:
+        skip()
+        node = TreeNode()
+        while pos < n and text[pos] == "(":
+            pos += 1
+            open_clades.append(node)
+            skip()
             node = TreeNode()
-            while pos < n and text[pos] == "(":
+        finish(node)
+        while open_clades:
+            open_clades[-1].children.append(node)
+            skip()
+            if pos >= n:
+                raise error("unterminated clade: missing ')'")
+            if text[pos] == ",":
                 pos += 1
-                open_clades.append(node)
-                skip_ws()
-                node = TreeNode()
+                break  # parse the next sibling
+            if text[pos] != ")":
+                raise error(f"unexpected {text[pos]!r} at offset {pos}")
+            pos += 1
+            node = open_clades.pop()
             finish(node)
-            while open_clades:
-                open_clades[-1].children.append(node)
-                skip_ws()
-                if pos >= n:
-                    raise error("unterminated clade: missing ')'")
-                if text[pos] == ",":
-                    pos += 1
-                    break  # parse the next sibling
-                if text[pos] != ")":
-                    raise error(f"unexpected {text[pos]!r} at offset {pos}")
-                pos += 1
-                node = open_clades.pop()
-                finish(node)
-            else:
-                return node
+        else:
+            break
 
-    root = parse_node()
-    skip_ws()
+    skip()
     if pos >= n or text[pos] != ";":
         raise error("missing terminating ';'")
     pos += 1
-    skip_ws()
+    skip()
     if pos != n:
         raise error(f"trailing content after ';' at offset {pos}")
-    leaves = root.leaf_order
-    if not leaves:
-        raise error("tree has no leaves")
-    labels = [leaf.name for leaf in leaves]
+    labels = [leaf.name for leaf in node.leaf_order]
     if any(not lbl for lbl in labels):
         raise error("tree has unnamed leaves")
     if len(set(labels)) != len(labels):
         raise error("tree has duplicate leaf labels")
-    return root
+    return node
 
 
 def _read_tree(path: Path) -> TreeNode:

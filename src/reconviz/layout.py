@@ -15,6 +15,7 @@ import json
 from .chartspec import ChartSpec
 from .combine import CombinationPlan
 from .errors import MissingFragment
+from .record import Record
 from .svg import SvgBuilder, fmt
 from .charts import CELL_W, CELL_H
 
@@ -25,17 +26,8 @@ GUTTER = 18.0
 HEADER_H = 30.0
 
 
-class ViewLayout:
-    __slots__ = ("rows", "cols", "cells", "width", "height", "annotations")
-
-    def __init__(self, rows: int, cols: int, cells: dict[str, tuple[int, int]], width: float,
-                 height: float, annotations: list[str] | None = None):
-        self.rows = rows
-        self.cols = cols
-        self.cells = cells  # spec id -> (row, col)
-        self.width = width
-        self.height = height
-        self.annotations = [] if annotations is None else annotations
+class ViewLayout(Record):
+    __slots__ = ("rows", "cols", "cells", "width", "height", "annotations")  # cells: id -> (row, col)
 
     def to_dict(self) -> dict:
         return {

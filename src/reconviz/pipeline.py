@@ -72,8 +72,7 @@ def assemble(
     _, graph = build_graph(datasets, config.min_jaccard)
     encoding_map.validate_against(table)
     by_id = {d.id: d for d in datasets}
-    dtypes = {d.id: d.dtype for d in datasets}
-    ranked = rank_paths(graph, dtypes, encoding_map, table)
+    ranked = rank_paths(graph, graph.hubs, encoding_map, table)
 
     singles: dict[str, list[ChartSpec]] = {}
 

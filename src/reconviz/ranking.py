@@ -92,8 +92,6 @@ def rank_paths(
     paths: list[GraphPath] = []
     for component_id, component in enumerate(connected_components(graph)):
         paths.extend(enumerate_paths(component, component_id))
-    if not paths:
-        return []
 
     strengths = [path_strength(p) for p in paths]
     diversities = [path_diversity(p, dtypes) for p in paths]

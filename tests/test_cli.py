@@ -24,7 +24,7 @@ from reconviz.config import ASSETS_DIR, RunConfig
 from reconviz.errors import ConfigError
 from reconviz.ingest import explode_fields, load_dataset
 
-from conftest import fig1_datasets, synthetic_manifest, write_config
+from conftest import fig1_datasets, make_png, synthetic_manifest, write_config
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -548,16 +548,20 @@ def assert_no_empty_polygon(out: Path) -> None:
         assert 'points=""' not in path.read_text(), path.name
 
 
-def render_next_to_fig1(fig1_dir, name: str, content: bytes, dtype: str) -> None:
-    """Write one generated file next to the fig1 tree and case table, then
-    run `link` and render every view: the CLI exits 0, 2 or 3 (an input
-    error, or no such view), never 1, and every SVG parses, is finite and
-    holds no empty polygon."""
+def render_next_to_fig1(fig1_dir, name: str, content: bytes, dtype: str,
+                        sidecar: bytes | None = None) -> None:
+    """Write one generated file, and its sidecar table when given, next to
+    the fig1 tree and case table, then run `link` and render every view: the
+    CLI exits 0, 2 or 3 (an input error, or no such view), never 1, and every
+    SVG parses, is finite and holds no empty polygon."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / name).write_bytes(content)
-        manifest = fig1_datasets(fig1_dir)[:2]
-        manifest.append({"id": "gen", "path": str(root / name), "dtype": dtype})
+        entry = {"id": "gen", "path": str(root / name), "dtype": dtype}
+        if sidecar is not None:
+            (root / "sidecar.csv").write_bytes(sidecar)
+            entry["associated"] = str(root / "sidecar.csv")
+        manifest = fig1_datasets(fig1_dir)[:2] + [entry]
         cfg = write_config(root, manifest)
         assert run(["link", "--config", cfg]) in (0, 2, 3)
         render_every_view(cfg)
@@ -609,6 +613,32 @@ def edge_lists(draw):
         else:
             row.pop()
     return _table(rows)
+
+
+@st.composite
+def images_with_sidecars(draw):
+    """(image bytes, sidecar CSV bytes): a valid PNG, an empty file or bytes
+    that are no PNG, and a sidecar keyed by a `lane` column of fig1 ids, other
+    ids, blank and `NA` lanes, and repeats, next to cells with quoted commas
+    and numbers."""
+    image = draw(st.sampled_from(["png", "empty", "not png"]))
+    content = {"png": make_png(draw(st.integers(1, 6)), draw(st.integers(1, 6))), "empty": b"",
+               "not png": b"GIF89a not a PNG\n"}[image]
+    lanes = draw(st.lists(st.one_of(st.sampled_from(_FIG1_IDS), st.sampled_from(["", " ", "NA"])),
+                          min_size=1, max_size=8))
+    rows = [["lane", "note", "v"]] + [
+        [lane, draw(st.sampled_from(["gel, lane", "plain", 'say "hi", twice', ""])),
+         draw(st.one_of(_NUMBER_CELLS, _MISSING_CELLS))]
+        for lane in lanes]
+    return content, _table(rows)
+
+
+class TestImageProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(images_with_sidecars())
+    def test_images_next_to_fig1_exit_cleanly_with_finite_views(self, fig1_dir, files):
+        image, sidecar = files
+        render_next_to_fig1(fig1_dir, "gel.png", image, "image", sidecar)
 
 
 class TestSequenceAndEdgeListProperty:

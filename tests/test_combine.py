@@ -36,6 +36,7 @@ def spec(sid, chart_type, dataset, relevance, **bindings):
         relevance=relevance,
         bindings=parsed,
         required_channels=tuple(parsed),
+        annotations={},
         swappable={"x", "y"} <= parsed.keys(),
     )
 

@@ -100,7 +100,7 @@ class TestTypeEncodingMap:
         encoding_map.validate_against(relevance_table)
 
     def test_unknown_chart_type_rejected(self, relevance_table):
-        bad = TypeEncodingMap({"tabular": ("pie chart",)})
+        bad = TypeEncodingMap({"tabular": ("pie chart",)}, None)
         with pytest.raises(ConfigError):
             bad.validate_against(relevance_table)
 

@@ -138,7 +138,7 @@ def all_pairs_links(fields, min_jaccard=0.0):
     """Reference linkage: an exact Jaccard for every cross-dataset pair of
     non-numeric fields, kept when J > min_jaccard, in sorted key order."""
     spokes = {("field", f.source_id, f.name): f for f in fields}
-    threshold = max(Fraction(0), Fraction(min_jaccard).limit_denominator(10**9))
+    threshold = max(Fraction(0), Fraction(str(min_jaccard)))
     links = {}
     keys = sorted(spokes)
     for i, ka in enumerate(keys):
@@ -188,7 +188,7 @@ def field_collections(draw):
 
 class TestLinkageOracle:
     @settings(max_examples=300, deadline=None)
-    @given(field_collections(), st.sampled_from([0.0, 0.5, 1.0]))
+    @given(field_collections(), st.sampled_from([0.0, 0.5, 1.0, 0.9999999999, 0.49999999999]))
     def test_matches_all_pairs(self, fields, min_jaccard):
         got = build_entity_graph(fields, min_jaccard).links
         oracle = all_pairs_links(fields, min_jaccard)
@@ -210,6 +210,18 @@ class TestLinkageOracle:
         assert links[(("field", "a", "k"), ("field", "b", "k"))] == Fraction(1, 2)
         assert links[(("field", "a", "k"), ("field", "c", "k"))] == 1
         assert not any("d" in (ka[1], kb[1]) for ka, kb in links)
+
+    def test_min_jaccard_is_compared_as_the_decimal_given(self):
+        """A threshold just below 1 or 1/2 keeps the links of J = 1 or 1/2:
+        rounding it to a fraction of small denominator first made it 1 or
+        1/2, and J > threshold then dropped them."""
+        fields = [field("k", "a", {"1", "2"}), field("k", "b", {"1", "2"}),
+                  field("k", "c", {"1"})]
+        a, b, c = (("field", source, "k") for source in "abc")
+        assert build_entity_graph(fields, 0.9999999999).links == {(a, b): 1}
+        assert build_entity_graph(fields, 0.49999999999).links == {
+            (a, b): 1, (a, c): Fraction(1, 2), (b, c): Fraction(1, 2)}
+        assert build_entity_graph(fields, 0.5).links == {(a, b): 1}
 
 
 class TestComponents:

@@ -20,7 +20,9 @@ from reconviz.ingest import (
     present,
 )
 
-from conftest import SAMPLE_IDS, SYNTH_LEAF_ORDER, synthetic_manifest
+from reconviz.config import load_config
+
+from conftest import SAMPLE_IDS, SYNTH_LEAF_ORDER, fig1_datasets, synthetic_manifest, write_config
 
 
 def load_all(manifest):
@@ -213,6 +215,39 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(path, "network")
 
+
+_GEOJSON_TEXT = json.dumps({"type": "FeatureCollection", "features": [
+    {"type": "Feature", "properties": {"zone": z},
+     "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}}
+    for z in ("A", "B")]})
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, which some editors write at the start of a
+    file, is not part of the file's text: each reader gives what it gives
+    for the same file without the mark."""
+
+    @pytest.mark.parametrize("dtype, text", [
+        ("tabular", "sample,grp\ns1,a\ns2,b\n"),
+        ("tree", "((s1:1,s2:1):1,s3:2);\n"),
+        ("genomic", ">s1 first\nACGT\n>s2\nAC\n"),
+        ("spatial", _GEOJSON_TEXT),
+    ], ids=["table", "newick", "fasta", "geojson"])
+    def test_a_marked_file_reads_as_the_unmarked_one(self, tmp_path, dtype, text):
+        (tmp_path / "plain").write_text(text, encoding="utf-8")
+        (tmp_path / "marked").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "marked").read_bytes().startswith(b"\xef\xbb\xbf")
+        plain = load_dataset(tmp_path / "plain", dtype, dataset_id="d")
+        marked = load_dataset(tmp_path / "marked", dtype, dataset_id="d")
+        assert marked.raw_columns == plain.raw_columns
+        assert explode_fields([marked])[0] == explode_fields([plain])[0]
+
+    def test_a_marked_config_file_loads(self, tmp_path, fig1_dir):
+        path = write_config(tmp_path, fig1_datasets(fig1_dir), seed=4)
+        path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        config = load_config(path)
+        assert [e.id for e in config.datasets] == ["phylo", "cases", "regions"]
+        assert config.seed == 4
 
 class TestNewickParser:
     def test_leaf_order_preserved(self, synthetic_dir):

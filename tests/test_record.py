@@ -27,7 +27,7 @@ class Empty(Record):
 def chart_spec(**changes) -> ChartSpec:
     args = {"id": "t:bar chart", "chart_type": "bar chart", "dataset_id": "t",
             "dtype": "tabular", "relevance": 1.0, "bindings": {"x": Binding("grp", "t")},
-            "required_channels": ("x",)}
+            "required_channels": ("x",), "annotations": {}, "swappable": True}
     return ChartSpec(**{**args, **changes})
 
 
@@ -60,11 +60,20 @@ class TestConstructor:
             Pair(1, 2).third = 3
 
     def test_a_subclass_with_its_own_init_keeps_it(self):
-        """`ChartSpec` defines `__init__` for its defaults; no constructor is
-        generated over it."""
-        assert ChartSpec.__init__.__code__.co_filename.endswith("chartspec.py")
-        spec = chart_spec()
-        assert spec.annotations == {} and spec.swappable is True
+        """A record that defines `__init__`, say for a default, gets no
+        constructor generated over it."""
+
+        class Defaulted(Record):
+            __slots__ = ("value", "note")
+
+            def __init__(self, value, note=""):
+                self.value = value
+                self.note = note
+
+        assert Defaulted.__init__.__code__.co_filename == __file__
+        record = Defaulted(1)
+        assert (record.value, record.note) == (1, "")
+        assert record == Defaulted(1, "")
 
 
 class TestEquality:

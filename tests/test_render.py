@@ -54,7 +54,7 @@ def simple_spec(sid, chart_type, dataset, relevance=5.0, annotations=None, **bin
     return ChartSpec(
         id=sid, chart_type=chart_type, dataset_id=dataset, dtype="tabular",
         relevance=relevance, bindings=parsed, required_channels=tuple(parsed),
-        annotations=annotations or {},
+        annotations=annotations or {}, swappable=True,
     )
 
 
@@ -86,6 +86,7 @@ class TestChartFragments:
             id="phylo:phylogenetic tree", chart_type="phylogenetic tree", dataset_id="phylo",
             dtype="tree", relevance=10.0,
             bindings={"y": Binding("tip_label", "phylo")}, required_channels=("y",),
+            annotations={}, swappable=True,
         )
         fragment = render_chart(tree, datasets, graph)
         labels = [
@@ -108,7 +109,7 @@ class TestChartFragments:
             id="phylo:phylogenetic tree", chart_type="phylogenetic tree", dataset_id="phylo",
             dtype="tree", relevance=10.0,
             bindings={"y": Binding("tip_label", "phylo")}, required_channels=("y",),
-            annotations={"domain_order": shuffled, "shared_axis": "y"},
+            annotations={"domain_order": shuffled, "shared_axis": "y"}, swappable=True,
         )
         fragment = render_chart(tree, datasets, graph)
         labels = [
@@ -193,7 +194,8 @@ class TestChartFragments:
         datasets = {d.id: d for d in load_synthetic(synthetic_dir)}
         graph = graph_of(list(datasets.values()))
         half = ChartSpec("samples:heatmap", "heatmap", "samples", "tabular", 5.0,
-                         {"x": Binding("location", "samples")}, required_channels=("x", "y"))
+                         {"x": Binding("location", "samples")}, required_channels=("x", "y"),
+                         annotations={}, swappable=True)
         with pytest.raises(DataMismatch, match="incomplete"):
             render_chart(half, datasets, graph)
 
@@ -250,7 +252,7 @@ class TestChartFragments:
         spec = ChartSpec(
             id="net:node-link", chart_type="node-link", dataset_id="net", dtype="network",
             relevance=1.0, bindings={"y": Binding("node_id", "net")},
-            required_channels=("y",),
+            required_channels=("y",), annotations={}, swappable=True,
         )
         fragment = render_chart(spec, {"net": net}, graph)
         assert len(marks(fragment, "circle")) == 4
@@ -263,6 +265,7 @@ class TestChartFragments:
             id="regions:geographic map", chart_type="geographic map", dataset_id="regions",
             dtype="spatial", relevance=6.0,
             bindings={"x": Binding("country", "regions")}, required_channels=("x",),
+            annotations={}, swappable=True,
         )
         fragment = render_chart(spec, {"regions": regions}, graph)
         polys = marks(fragment, "polygon")
@@ -354,8 +357,9 @@ class TestArrangeGrid:
             spatial=SpatialGroup(
                 member_ids=["tree:phylogenetic tree", "tab:scatter chart", "tab:heatmap"],
                 lead_id="tree:phylogenetic tree", shared_field="tab.sample_id", axis="y",
+                domain=None, shared_bindings={}, numeric=False,
             ),
-            color_groups=[], unaligned=["geo:geographic map", "tab:bar chart"],
+            color_groups=[], unaligned=["geo:geographic map", "tab:bar chart"], seed=0,
         )
         layout = arrange_grid(plan, specs)
         assert layout.cells["tree:phylogenetic tree"] == (0, 0)
@@ -369,7 +373,7 @@ class TestArrangeGrid:
         from reconviz.combine import CombinationPlan
 
         specs = self.make_specs(["tab:bar chart"])
-        layout = arrange_grid(CombinationPlan(None, [], ["tab:bar chart"]), specs)
+        layout = arrange_grid(CombinationPlan(None, [], ["tab:bar chart"], 0), specs)
         assert (layout.rows, layout.cols) == (1, 1)
         assert layout.cells == {"tab:bar chart": (0, 0)}
 
@@ -381,8 +385,9 @@ class TestArrangeGrid:
         specs = self.make_specs(ids)
         plan = CombinationPlan(
             spatial=SpatialGroup(member_ids=list(ids), lead_id="tree:phylogenetic tree",
-                                 shared_field="tab.sample_id", axis="y"),
-            color_groups=[], unaligned=[],
+                                 shared_field="tab.sample_id", axis="y", domain=None,
+                                 shared_bindings={}, numeric=False),
+            color_groups=[], unaligned=[], seed=0,
         )
         layout = arrange_grid(plan, specs)
         assert layout.cols == 5
