@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 internal error, 2 input/config error, 3 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -188,27 +189,35 @@ def cmd_relevance(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    # A command frees few of the many containers it builds before it ends, so
+    # the cyclic collector's passes over them find nothing: pause it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        overrides = vars(parser.parse_args(argv))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    command = overrides.pop("command")
-    config_path = overrides.pop("config")
-    view = overrides.pop("view", None)
-    try:
-        config = load_config(config_path, **overrides)
-        if command == "render":
-            return cmd_render(config, view)
-        return {"link": cmd_link, "graph": cmd_graph, "specs": cmd_specs,
-                "relevance": cmd_relevance}[command](config)
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ReconVizError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        parser = _build_parser()
+        try:
+            overrides = vars(parser.parse_args(argv))
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        command = overrides.pop("command")
+        config_path = overrides.pop("config")
+        view = overrides.pop("view", None)
+        try:
+            config = load_config(config_path, **overrides)
+            if command == "render":
+                return cmd_render(config, view)
+            return {"link": cmd_link, "graph": cmd_graph, "specs": cmd_specs,
+                    "relevance": cmd_relevance}[command](config)
+        except (InputError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except ReconVizError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry() -> None:

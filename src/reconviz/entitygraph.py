@@ -257,6 +257,10 @@ def enumerate_paths(component: EntityGraph, component_id: int = 0) -> list[Graph
     weight denominators: each step is an exact integer D·(1 - J), and a
     positive scale keeps both order and ties.
 
+    The search labels both sequences with byte strings: each node's number in
+    sorted key order (so hubs fall in id order) as a fixed-width big-endian
+    code. Labels compare like the sequences, as a proper prefix sorts first.
+
     No path repeats another's (hub set, link-edge set): a pair path's link
     edges chain its spokes, and each chain ends in spokes that join their own
     hubs, so the edge set fixes the node sequence and both end hubs, and the
@@ -266,64 +270,79 @@ def enumerate_paths(component: EntityGraph, component_id: int = 0) -> list[Graph
     paths: list[GraphPath] = [
         GraphPath((hub_key(ds),), (ds,), (), component_id) for ds in hub_ids
     ]
+    nodes = component.nodes()
+    number = {node: i for i, node in enumerate(nodes)}
+    width = max(1, ((len(nodes) - 1).bit_length() + 7) // 8)
+    codes = [i.to_bytes(width, "big") for i in range(len(nodes))]
     scale = math.lcm(*(w.denominator for w in component.links.values()))
-    steps = {
-        node: [
+    steps = [
+        [
             (
-                neighbor,
+                number[neighbor],
+                codes[number[neighbor]],
                 0 if weight is None else scale - scale // weight.denominator * weight.numerator,
-                neighbor[1] if neighbor[0] == HUB else None,
+                codes[number[neighbor]] if neighbor[0] == HUB else b"",
             )
             for neighbor, weight in component.neighbors(node)
         ]
-        for node in component.nodes()
-    }
+        for node in nodes
+    ]
     for i, source in enumerate(hub_ids):
-        targets = [hub_key(target) for target in hub_ids[i + 1 :]]
-        found = _first_pops(steps, source, targets)
-        paths += [_path_from_sequence(component, found[target], component_id)
-                  for target in targets if target in found]
+        start = number[hub_key(source)]
+        targets = [number[hub_key(target)] for target in hub_ids[i + 1 :]]
+        found = _first_pops(steps, start, codes[start], targets)
+        for target in targets:
+            if target in found:
+                seq = found[target]
+                path = tuple(nodes[int.from_bytes(seq[at : at + width], "big")]
+                             for at in range(0, len(seq), width))
+                paths.append(_path_from_sequence(component, path, component_id))
     return paths
 
 
 def _first_pops(
-    steps: dict[NodeKey, list[tuple[NodeKey, int, str | None]]],
-    source: str,
-    targets: list[NodeKey],
-) -> dict[NodeKey, tuple[NodeKey, ...]]:
-    """Dijkstra from hub `source` over (neighbor, integer step, hub id or
-    None) adjacency until every reachable target is settled; returns each
-    target's node sequence when it is first popped. Until a target pops, a
-    search for that target alone pops the same states in the same order, so
-    this is the sequence such a search would return."""
+    steps: list[list[tuple[int, bytes, int, bytes]]],
+    source: int,
+    source_code: bytes,
+    targets: list[int],
+) -> dict[int, bytes]:
+    """Dijkstra from hub `source` (code `source_code`) over (neighbor, its code,
+    integer step, its code if a hub else b"") adjacency until every reachable
+    target is settled; returns each target's node label when it is first
+    popped. Until a target pops, a search for that target alone pops the same
+    states in the same order, so this is the label such a search would return.
+    No node label is pushed twice, so an entry's trailing node breaks no tie."""
     remaining = set(targets)
-    found: dict[NodeKey, tuple[NodeKey, ...]] = {}
-    settled: set[NodeKey] = set()
-    queue: list[tuple] = [(0, 1, (source,), (hub_key(source),))]
+    found: dict[int, bytes] = {}
+    settled = [False] * len(steps)
+    queue = [(0, len(source_code), source_code, source_code, source)]
     while queue and remaining:
-        cost, _, hub_seq, seq = heapq.heappop(queue)
-        node = seq[-1]
-        if node in settled:
+        cost, _, hub_seq, seq, node = heapq.heappop(queue)
+        if settled[node]:
             continue
-        settled.add(node)
+        settled[node] = True
         if node in remaining:
             remaining.discard(node)
             found[node] = seq
         # Every node of a popped sequence is settled, so `settled` also keeps
         # the sequence simple.
-        for neighbor, step, hub in steps[node]:
-            if neighbor in settled:
+        for neighbor, code, step, hub in steps[node]:
+            if settled[neighbor]:
                 continue
-            next_hubs = hub_seq if hub is None else hub_seq + (hub,)
-            heapq.heappush(queue, (cost + step, len(next_hubs), next_hubs, seq + (neighbor,)))
+            next_hubs = hub_seq + hub
+            heapq.heappush(queue, (cost + step, len(next_hubs), next_hubs, seq + code, neighbor))
     return found
 
 
 def path_strength(path: GraphPath) -> Fraction:
-    """Mean Jaccard weight over the path's linkage edges; 0 for singletons."""
+    """Mean Jaccard weight over the path's linkage edges; 0 for singletons.
+    One exact division, over D·k with D the lcm of the weights' denominators."""
     if not path.link_edges:
         return Fraction(0)
-    return sum((e.weight for e in path.link_edges), Fraction(0)) / len(path.link_edges)
+    weights = [e.weight for e in path.link_edges]
+    common = math.lcm(*(w.denominator for w in weights))
+    return Fraction(sum(w.numerator * (common // w.denominator) for w in weights),
+                    common * len(weights))
 
 
 # ---------------------------------------------------------------------------

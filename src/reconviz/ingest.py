@@ -27,6 +27,7 @@ MISSING_MARKERS = {"", "na", "nan", "null"}
 
 # Full-column agreement: one non-numeric token makes the field non-numeric.
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_DECIMAL_CHARS = "0123456789+-.eE"
 
 SAMPLE_VALUES = 5
 
@@ -242,20 +243,31 @@ def classify_field(raw_values: list[str]) -> tuple[str, int | None]:
 def _make_field(name: str, source_id: str, raw_values: list[str]) -> Field | None:
     """Build a Field, or None when the column is entirely missing.
 
-    Each cell is stripped and tested for a missing marker once. The field is
-    numeric when every present cell is a decimal number, the numbers are
-    finite and so is their range; an overflowing cell such as `1e999` makes
-    the field non-numeric.
+    The column is stripped and tested for missing markers a column at a
+    time. The field is numeric when every present cell is a decimal number,
+    the numbers are finite and so is their range; an overflowing cell such as
+    `1e999` makes the field non-numeric.
     """
-    column = [None if (v := raw.strip()).lower() in MISSING_MARKERS else v for raw in raw_values]
-    cells = present(column)
+    column = list(map(str.strip, raw_values))
+    cells = column
+    if not MISSING_MARKERS.isdisjoint(map(str.lower, column)):
+        column = [None if v.lower() in MISSING_MARKERS else v for v in column]
+        cells = present(column)
     if not cells:
         return None
-    if all(_NUMBER_RE.match(v) for v in cells):
-        parsed = [None if v is None else float(v) for v in column]
-        numbers = present(parsed)
-        if math.isfinite(max(numbers) - min(numbers)):
-            return Field(name, source_id, "numeric", None, None, len(column), tuple(parsed))
+    numbers = None
+    # Over `_DECIMAL_CHARS` alone, float() accepts just what `_NUMBER_RE` matches
+    # (`inf`, `1_000` and non-ASCII digits need other characters): skip the regex.
+    if not "".join(cells).strip(_DECIMAL_CHARS) or all(map(_NUMBER_RE.match, cells)):
+        try:
+            numbers = list(map(float, cells))
+        except ValueError:  # such as `1e`
+            pass
+    if numbers is not None and math.isfinite(max(numbers) - min(numbers)):
+        if cells is not column:
+            parsed = iter(numbers)
+            numbers = [None if v is None else next(parsed) for v in column]
+        return Field(name, source_id, "numeric", None, None, len(column), tuple(numbers))
     values = frozenset(cells)
     return Field(name, source_id, "non-numeric", len(values), values, len(column), tuple(column))
 

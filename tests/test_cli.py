@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reconviz
-from reconviz import charts, pipeline
+from reconviz import charts, cli, pipeline
 from reconviz.charts import DRAWABLE
 from reconviz.cli import main
 from reconviz.chartspec import load_templates, slot_accepts
@@ -904,6 +905,66 @@ class TestRobustness:
         assert xs and all(charts.MARGIN_L <= x <= charts.CELL_W for x in xs)
         assert min(xs) == charts.MARGIN_L
         assert max(xs) == charts.MARGIN_L + charts.PLOT_W - 70
+
+
+class TestCyclicCollector:
+    """`main` pauses the cyclic collector for the command and leaves it as
+    it found it, however the command ends."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture
+    def collector_states(self, monkeypatch):
+        """gc.isenabled() as each call of `cli.assemble` saw it."""
+        states = []
+
+        def recording(*args, **kwargs):
+            states.append(gc.isenabled())
+            return pipeline.assemble(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "assemble", recording)
+        return states
+
+    def test_paused_during_the_command_and_on_after_it(self, synthetic_dir, tmp_path,
+                                                       collector_states):
+        gc.enable()
+        cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir))
+        assert run(["specs", "--config", cfg]) == 0
+        assert collector_states == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("case, code", [("missing dataset file", 2), ("bad flag", 3)])
+    def test_on_after_a_failed_command(self, tmp_path, case, code):
+        cfg = write_config(tmp_path, [
+            {"id": "gone", "path": str(tmp_path / "gone.csv"), "dtype": "tabular"},
+        ])
+        flags = ["--max-charts", "many"] if case == "bad flag" else []
+        gc.enable()
+        assert run(["specs", "--config", cfg, *flags]) == code
+        assert gc.isenabled()
+
+    def test_on_after_an_unexpected_exception(self, synthetic_dir, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "assemble", failing)
+        cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir))
+        gc.enable()
+        with pytest.raises(RuntimeError, match="unexpected"):
+            run(["specs", "--config", cfg])
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_turned_it_off(self, synthetic_dir, tmp_path,
+                                                      collector_states):
+        gc.disable()
+        cfg = write_config(tmp_path, synthetic_manifest(synthetic_dir))
+        assert run(["specs", "--config", cfg]) == 0
+        assert collector_states == [False]
+        assert not gc.isenabled()
 
 
 class TestUsageAndDeterminism:
