@@ -18,7 +18,7 @@ from .chartspec import ChartSpec
 from .combine import build_palette
 from .errors import DataMismatch, UnsupportedChartType
 from .entitygraph import EntityGraph
-from .ingest import (GENOMIC, IMAGE, NETWORK, SPATIAL, TABULAR, TREE, Dataset, Field, TreeNode,
+from .ingest import (GENOMIC, IMAGE, NETWORK, SPATIAL, TREE, Dataset, Field, Table, TreeNode,
                      extent, present)
 from .svg import SvgBuilder, fmt
 
@@ -561,7 +561,7 @@ def _render_map(svg, spec, dataset, bound, graph):
 
 def _render_table(svg, spec, dataset, bound, graph):
     key = bound.get("y") or bound.get("x")
-    table = dataset.payload if dataset.dtype == TABULAR else dataset.associated
+    table = dataset.payload if isinstance(dataset.payload, Table) else dataset.associated
     if table is not None:
         columns = table.columns[:TABLE_MAX_COLS]
         rows = [row[:TABLE_MAX_COLS] for row in table.rows]

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .designspace import RelevanceTable
-from .errors import ConfigError, ConstraintViolation, read_config_json
+from .errors import ConfigError, read_config_json
 from .ingest import Dataset, Field
 from .record import Record
 
@@ -143,21 +143,6 @@ def slot_accepts(
     if constraint == "non-numeric_high_card":
         return is_high_cardinality(field, highcard_threshold)
     return True  # "any"
-
-
-def assign_field_to_slot(
-    slot: EncodingSlot,
-    field: Field,
-    color_card_limit: int = DEFAULT_COLOR_CARD_LIMIT,
-    highcard_threshold: int = DEFAULT_HIGHCARD_THRESHOLD,
-) -> "Binding":
-    """Bind a field to a slot or raise ConstraintViolation (try another slot)."""
-    if not slot_accepts(slot, field, color_card_limit, highcard_threshold):
-        raise ConstraintViolation(
-            f"{field.qualified_name} ({field.kind}, cardinality {field.cardinality}) "
-            f"does not satisfy {slot.channel}/{slot.constraint}"
-        )
-    return Binding(field.name, field.source_id)
 
 
 class Binding(Record):

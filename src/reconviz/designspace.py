@@ -32,12 +32,6 @@ class PrevalenceDesignSpace:
             raise ConfigError("negative count in design space")
         self.entries = entries  # (chart_type, year, count)
 
-    @property
-    def year_max(self) -> int:
-        if not self.entries:
-            raise EmptyDesignSpace("design space has no entries")
-        return max(year for _, year, _ in self.entries)
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "PrevalenceDesignSpace":
         try:
@@ -64,7 +58,7 @@ def raw_relevance(space: PrevalenceDesignSpace, decay: float = DEFAULT_DECAY) ->
         raise EmptyDesignSpace("design space has no entries")
     if not (0 < decay <= 1):
         raise ConfigError(f"decay must be in (0, 1], got {decay}")
-    year_max = space.year_max
+    year_max = max(year for _, year, _ in space.entries)
     totals: dict[str, float] = {}
     try:
         for chart, year, count in space.entries:

@@ -35,10 +35,6 @@ class DuplicateDatasetId(InputError):
     pass
 
 
-class AllMissing(InputError):
-    """Every value of a field is a missing-value marker."""
-
-
 class EmptySet(ReconVizError):
     """Jaccard similarity is undefined for empty sets."""
 
@@ -57,10 +53,6 @@ class UnknownDataset(ReconVizError):
 
 class UnmappedDataType(InputError):
     """A data type has no candidate chart types in the encoding map."""
-
-
-class ConstraintViolation(ReconVizError):
-    """Field does not satisfy an encoding slot's constraints."""
 
 
 class MultipleImmutable(ReconVizError):

@@ -20,7 +20,7 @@ import re
 from functools import cached_property
 from pathlib import Path
 
-from .errors import AllMissing, ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
+from .errors import ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
 from .record import Record
 
 MISSING_MARKERS = {"", "na", "nan", "null"}
@@ -125,15 +125,7 @@ class EdgeTable(Record):
     __slots__ = ("columns", "rows")
 
     def node_ids(self) -> list[str]:
-        seen = []
-        have = set()
-        for row in self.rows:
-            for endpoint in row[:2]:
-                v = endpoint.strip()
-                if v and v not in have:
-                    have.add(v)
-                    seen.append(v)
-        return seen
+        return [v for v in dict.fromkeys(end.strip() for row in self.rows for end in row[:2]) if v]
 
     @property
     def raw_columns(self) -> dict[str, list[str]]:
@@ -226,18 +218,6 @@ class FieldMetadata(Record):
             writer.writerow([f.name, f.source_id, f.kind,
                              "" if f.cardinality is None else f.cardinality, ";".join(samples)])
         return buf.getvalue()
-
-
-def classify_field(raw_values: list[str]) -> tuple[str, int | None]:
-    """Classify a column as numeric or non-numeric with a distinct-value count.
-
-    Numeric requires every non-missing value to parse as a finite decimal
-    number, with a finite range (see `_make_field`).
-    """
-    field = _make_field("", "", raw_values)
-    if field is None:
-        raise AllMissing("every value is a missing marker")
-    return field.kind, field.cardinality
 
 
 def _make_field(name: str, source_id: str, raw_values: list[str]) -> Field | None:

@@ -4,7 +4,8 @@
 plus a final newline. `json.dumps` with an indent runs the pure-Python
 encoder; this writer builds the same text from the C string escaper and the
 number reprs `json` itself uses, and writes a list of strings in one join.
-Dict keys must be strings.
+Dict keys must be strings, and scalar values of the exact types `str`, `int`,
+`float`, `bool` or `None`: a subclass such as an `IntEnum` raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def _number(value: float) -> str:
     return _float(value)
 
 
-# exact scalar type -> its text; subclasses take the isinstance path in _write
+# exact scalar type -> its text; a subclass is not JSON serializable here
 _scalar = {
     str: _string,
     int: _int,
@@ -79,19 +80,13 @@ def _write(obj, newline: str, out) -> None:
                 _write(item, inner, out)
             separator = "," + inner
         out(newline + "]")
-    elif isinstance(obj, str):
-        out(_string(obj))
-    elif isinstance(obj, int):
-        out(_int(obj))
-    elif isinstance(obj, float):
-        out(_number(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def json_text(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, for dicts with
-    `str` keys; any other key or value type raises `TypeError`."""
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, for `str` dict keys
+    and the exact types listed above; other types raise `TypeError`."""
     parts: list[str] = []
     _write(obj, "\n", parts.append)
     parts.append("\n")

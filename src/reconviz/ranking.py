@@ -83,12 +83,13 @@ def competition_ranks(values: list) -> list[int]:
 
 def rank_paths(
     graph: EntityGraph,
-    dtypes: dict[str, str],
     encoding_map: TypeEncodingMap,
     table: RelevanceTable,
 ) -> list[RankedPath]:
     """Enumerate paths in every component, score, rank-normalize over the
-    pooled list, and sort by ascending path_score."""
+    pooled list, and sort by ascending path_score. Each hub's data type is
+    the one the graph holds for it (`graph.hubs`)."""
+    dtypes = graph.hubs
     paths: list[GraphPath] = []
     for component_id, component in enumerate(connected_components(graph)):
         paths.extend(enumerate_paths(component, component_id))

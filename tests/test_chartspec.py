@@ -4,14 +4,12 @@ import pytest
 
 from reconviz.chartspec import (
     EncodingSlot,
-    assign_field_to_slot,
     generate_single_chart_specs,
     prioritize_fields,
     slot_accepts,
 )
 from reconviz import pipeline
 from reconviz.config import RunConfig
-from reconviz.errors import ConstraintViolation
 from reconviz.ingest import Dataset, Feature, FeatureSet, Field, Table, load_dataset
 
 from conftest import fig1_datasets, synthetic_manifest
@@ -95,14 +93,12 @@ class TestSlotConstraints:
         assert slot_accepts(slot, field("country", "t", cats("c", 3), rows=100))
         assert not slot_accepts(slot, field("id", "t", cats("i", 30), rows=100))
 
-    def test_assign_raises_on_rejection(self):
+    def test_size_rejects_categorical(self):
         slot = EncodingSlot("size", "any")
-        with pytest.raises(ConstraintViolation):
-            assign_field_to_slot(slot, field("c", "t", cats("v", 3)))
+        assert not slot_accepts(slot, field("c", "t", cats("v", 3)))
 
-    def test_assign_returns_binding(self):
-        binding = assign_field_to_slot(EncodingSlot("size", "any"), field("n", "t", numeric=True))
-        assert (binding.source, binding.field) == ("t", "n")
+    def test_size_accepts_numeric(self):
+        assert slot_accepts(EncodingSlot("size", "any"), field("n", "t", numeric=True))
 
     def test_configurable_color_limit(self):
         slot = EncodingSlot("color", "non-numeric")

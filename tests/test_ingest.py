@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reconviz.entitygraph import build_entity_graph, spoke_key
-from reconviz.errors import AllMissing, ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
+from reconviz.errors import ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
 from reconviz.ingest import (
     MISSING_MARKERS,
     Dataset,
     Field,
+    EdgeTable,
     Table,
-    classify_field,
+    _make_field,
     explode_fields,
     load_dataset,
     parse_newick,
@@ -44,46 +45,65 @@ def make_table(columns, rows):
 
 class TestClassifyField:
     def test_all_numeric_tokens(self):
-        assert classify_field(["1.5", "2", "3e1"]) == ("numeric", None)
+        field = _make_field("", "", ["1.5", "2", "3e1"])
+        assert (field.kind, field.cardinality) == ("numeric", None)
 
     def test_distinct_count_matches_set_oracle(self):
         values = ["GIN", "SLE", "LBR", "GIN"]
-        kind, card = classify_field(values)
-        assert kind == "non-numeric"
-        assert card == len(set(values))
+        field = _make_field("", "", values)
+        assert field.kind == "non-numeric"
+        assert field.cardinality == len(set(values))
 
     def test_all_missing_markers(self):
-        with pytest.raises(AllMissing):
-            classify_field(["", "NA"])
+        assert _make_field("", "", ["", "NA"]) is None
 
     def test_missing_markers_case_insensitive(self):
-        with pytest.raises(AllMissing):
-            classify_field(["null", "NaN", "na", ""])
+        assert _make_field("", "", ["null", "NaN", "na", ""]) is None
 
     def test_single_bad_token_makes_non_numeric(self):
-        kind, card = classify_field(["1", "2", "x"])
-        assert kind == "non-numeric"
-        assert card == 3
+        field = _make_field("", "", ["1", "2", "x"])
+        assert field.kind == "non-numeric"
+        assert field.cardinality == 3
 
     def test_missing_values_ignored_for_numeric(self):
-        assert classify_field(["1", "NA", "2.5"]) == ("numeric", None)
+        field = _make_field("", "", ["1", "NA", "2.5"])
+        assert (field.kind, field.cardinality) == ("numeric", None)
 
     @pytest.mark.parametrize("extra", [["1e999"], ["-1e999"], ["1e308", "-1e308"]])
     def test_non_finite_number_or_range_makes_non_numeric(self, extra):
-        assert classify_field(["1", "2", *extra]) == ("non-numeric", 2 + len(extra))
+        field = _make_field("", "", ["1", "2", *extra])
+        assert (field.kind, field.cardinality) == ("non-numeric", 2 + len(extra))
 
     def test_finite_range_near_float_max_stays_numeric(self):
-        assert classify_field([" -1 ", "1.7976931348623157e308"]) == ("numeric", None)
+        field = _make_field("", "", [" -1 ", "1.7976931348623157e308"])
+        assert (field.kind, field.cardinality) == ("numeric", None)
 
     @given(st.lists(st.sampled_from(["1", "2.5", "abc", "x y", "-3e2"]), min_size=1))
     def test_order_and_duplication_invariant(self, values):
-        kind, _ = classify_field(values)
-        assert classify_field(list(reversed(values)))[0] == kind
-        assert classify_field(values * 2)[0] == kind
+        kind = _make_field("", "", values).kind
+        assert _make_field("", "", list(reversed(values))).kind == kind
+        assert _make_field("", "", values * 2).kind == kind
 
     @given(st.lists(st.sampled_from(["red", "green", "blue", "cyan"]), min_size=1))
     def test_cardinality_duplication_invariant(self, values):
-        assert classify_field(values)[1] == classify_field(values * 3)[1]
+        assert _make_field("", "", values).cardinality == _make_field("", "", values * 3).cardinality
+
+
+class TestEdgeTableNodeIds:
+    def test_first_seen_order_across_both_columns_without_blanks(self):
+        rows = (
+            (" b ", "a", "w1"),
+            ("", "c", "w2"),
+            ("a ", "  ", "w3"),
+            ("c", " b", "w4"),
+            ("d", "", "w5"),
+            ("  ", "", "w6"),
+        )
+        edges = EdgeTable(("source", "target", "weight"), rows)
+        assert edges.node_ids() == ["b", "a", "c", "d"]
+
+    def test_no_rows_no_ids(self):
+        assert EdgeTable(("source", "target"), ()).node_ids() == []
 
 
 class TestLoadDataset:

@@ -2,11 +2,20 @@
 
 import json
 import math
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reconviz.jsonout import json_text
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+class Name(str):
+    pass
 
 
 def oracle(obj) -> str:
@@ -59,7 +68,8 @@ class TestJsonText:
         with pytest.raises(TypeError):
             json_text(obj)
 
-    @pytest.mark.parametrize("obj", [{1, 2}, b"bytes", object(), [1, {"a": 1j}], ["a", b"b"]])
+    @pytest.mark.parametrize("obj", [{1, 2}, b"bytes", object(), [1, {"a": 1j}], ["a", b"b"],
+                                     Level.LOW, Name("x")])
     def test_unknown_type_is_a_type_error(self, obj):
         with pytest.raises(TypeError):
             json_text(obj)

@@ -133,19 +133,19 @@ def quadratic_competition_ranks(values):
     return [1 + sum(1 for other in values if other > value) for value in values]
 
 
-def graph_of(fields):
-    return build_entity_graph(fields)
+def graph_of(fields, dtypes):
+    return build_entity_graph(fields, 0.0, dtypes)
 
 
 class TestRankPaths:
     def test_single_path_scores_three(self, relevance_table, encoding_map):
-        graph = graph_of([field("a", "only", {"x"})])
-        ranked = rank_paths(graph, {"only": "tabular"}, encoding_map, relevance_table)
+        graph = graph_of([field("a", "only", {"x"})], {"only": "tabular"})
+        ranked = rank_paths(graph, encoding_map, relevance_table)
         assert len(ranked) == 1
         assert ranked[0].path_score == 3
 
     def test_empty_graph(self, relevance_table, encoding_map):
-        assert rank_paths(graph_of([]), {}, encoding_map, relevance_table) == []
+        assert rank_paths(graph_of([], {}), encoding_map, relevance_table) == []
 
     def test_dominating_path_ranks_first(self, relevance_table, encoding_map):
         fields = [
@@ -155,7 +155,7 @@ class TestRankPaths:
             field("other", "tab3", {"zz", "zx", "zw"}),  # inexact link
         ]
         dtypes = {"tree1": "tree", "tab1": "tabular", "tab2": "tabular", "tab3": "tabular"}
-        ranked = rank_paths(graph_of(fields), dtypes, encoding_map, relevance_table)
+        ranked = rank_paths(graph_of(fields, dtypes), encoding_map, relevance_table)
         top = ranked[0]
         assert set(top.path.hubs) == {"tree1", "tab1"}
         assert top.path_score == 3  # exact link + 2 dtypes + best relevance
@@ -168,9 +168,8 @@ class TestRankPaths:
             for m in fig1_manifest
         ]
         fields, _ = explode_fields(datasets)
-        graph = build_entity_graph(fields)
-        dtypes = {d.id: d.dtype for d in datasets}
-        ranked = rank_paths(graph, dtypes, encoding_map, relevance_table)
+        graph = graph_of(fields, {d.id: d.dtype for d in datasets})
+        ranked = rank_paths(graph, encoding_map, relevance_table)
 
         # spreadsheet oracle over the six paths (metrics computed by hand):
         # hubs                 P_s   P_d  P_vr   ranks           score
@@ -203,10 +202,9 @@ class TestRankPaths:
             field("id", "b", {"x", "y", "w"}),
         ]
         dtypes = {"a": "tabular", "b": "tabular", "lonely": "tree"}
-        before = rank_paths(graph_of(base_fields), dtypes, encoding_map, relevance_table)
+        before = rank_paths(graph_of(base_fields, dtypes), encoding_map, relevance_table)
         after = rank_paths(
-            graph_of(base_fields + [field("solo", "lonely", {"qq"})]),
-            dtypes,
+            graph_of(base_fields + [field("solo", "lonely", {"qq"})], dtypes),
             encoding_map,
             relevance_table,
         )
@@ -218,6 +216,41 @@ class TestRankPaths:
         }
         for hubs, metrics in before_metrics.items():
             assert after_metrics[hubs] == metrics
+
+    def test_hub_data_types_come_from_the_graph(self, relevance_table, encoding_map):
+        fields = [
+            field("id", "tree1", {"a", "b", "c"}),
+            field("id", "tab1", {"a", "b", "c"}),
+            field("other", "tab2", {"zz", "zy"}),
+            field("other", "tab3", {"zz", "zx", "zw"}),
+            field("geo", "map1", {"zz", "q"}),
+        ]
+        dtypes = {"tree1": "tree", "tab1": "tabular", "tab2": "tabular", "tab3": "tabular",
+                  "map1": "spatial"}
+        ranked = rank_paths(graph_of(fields, dtypes), encoding_map, relevance_table)
+        got = [(r.path.hubs, r.strength, r.diversity, r.encoding_relevance, r.path_score)
+               for r in ranked]
+        assert got == [
+            (("tab1", "tree1"), 1, 2, 14.0, 3),
+            (("map1", "tab2"), Fraction(1, 3), 2, 10.0, 5),
+            (("map1", "tab3"), Fraction(1, 4), 2, 10.0, 6),
+            (("tree1",), 0, 1, 10.0, 11),
+            (("tab2", "tab3"), Fraction(1, 4), 1, 8.0, 12),
+            (("map1",), 0, 1, 6.0, 15),
+            (("tab1",), 0, 1, 4.0, 16),
+            (("tab2",), 0, 1, 4.0, 16),
+            (("tab3",), 0, 1, 4.0, 16),
+        ]
+        for r in ranked:  # the same metrics as from an explicit dtypes mapping
+            assert r.diversity == path_diversity(r.path, dtypes)
+            assert r.encoding_relevance == path_vis_relevance(
+                r.path, dtypes, encoding_map, relevance_table)
+
+    def test_graph_without_data_types_is_unmapped(self, relevance_table, encoding_map):
+        graph = build_entity_graph([field("id", "a", {"x"}), field("id", "b", {"x"})])
+        assert graph.hubs == {"a": "", "b": ""}
+        with pytest.raises(UnmappedDataType, match="data type ''"):
+            rank_paths(graph, encoding_map, relevance_table)
 
     def test_bounds_and_monotonicity_on_random_graphs(self, relevance_table, encoding_map):
         rng = random.Random(424242)
@@ -231,7 +264,7 @@ class TestRankPaths:
                     pool = rng.randint(1, 8)
                     values = {f"v{rng.randint(0, 12)}" for _ in range(pool)}
                     fields.append(field(f"f{k}", f"d{i}", values))
-            ranked = rank_paths(graph_of(fields), dtypes, encoding_map, relevance_table)
+            ranked = rank_paths(graph_of(fields, dtypes), encoding_map, relevance_table)
             total = len(ranked)
             scores = [r.path_score for r in ranked]
             assert scores == sorted(scores)

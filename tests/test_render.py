@@ -336,6 +336,35 @@ class TestChartFragments:
         assert len(marks(render_chart(heatmap, asm.datasets, asm.graph), "rect")) == 15
 
 
+class TestTableChart:
+    """The table chart draws the payload table, else the associated table,
+    else the one bound key column."""
+
+    @staticmethod
+    def header(dataset, key):
+        spec = simple_spec(f"{dataset.id}:table", "table", dataset.id, y=f"{dataset.id}.{key}")
+        fragment = render_chart(spec, {dataset.id: dataset}, graph_of([dataset]))
+        return [t.text for t in wrap(fragment).iter(f"{SVG_NS}text")
+                if t.get("font-weight") == "bold" and t.get("font-size") == "9"]
+
+    def test_tabular_payload_shows_its_first_four_columns(self, tmp_path):
+        (tmp_path / "t.csv").write_text("id,a,b,c,d\ns1,1,x,2,y\ns2,3,z,4,w\n")
+        table = load_dataset(tmp_path / "t.csv", "tabular", dataset_id="t")
+        assert self.header(table, "id") == ["id", "a", "b", "c"]
+
+    def test_fasta_shows_its_associated_table(self, tmp_path):
+        (tmp_path / "s.fasta").write_text(">s1\nACGT\n>s2\nACGA\n")
+        (tmp_path / "meta.csv").write_text("seq_id,host,year\ns1,bat,2014\ns2,human,2015\n")
+        seqs = load_dataset(tmp_path / "s.fasta", "genomic", tmp_path / "meta.csv",
+                            dataset_id="s")
+        assert self.header(seqs, "seq_id") == ["seq_id", "host", "year"]
+
+    def test_edge_list_without_table_shows_the_bound_key(self, tmp_path):
+        (tmp_path / "net.csv").write_text("source,target,weight\nn1,n2,1\nn2,n3,2\n")
+        net = load_dataset(tmp_path / "net.csv", "network", dataset_id="net")
+        assert self.header(net, "node_id") == ["node_id"]
+
+
 class TestArrangeGrid:
     def make_specs(self, plan_members):
         relevances = {"tree:phylogenetic tree": 10.0, "geo:geographic map": 6.0,
