@@ -18,8 +18,8 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .designspace import RelevanceTable
-from .errors import ConfigError, read_config_json
-from .ingest import Dataset, Field
+from .errors import ConfigError, config_file
+from .ingest import Dataset, Field, read_json
 from .record import Record
 
 CHANNELS = ("x", "y", "color", "shape", "size")
@@ -48,6 +48,10 @@ class ChartTemplate:
     def __init__(self, chart_type: str, dtype: str, slots: tuple[EncodingSlot, ...]):
         if not any(slot.required for slot in slots):
             raise ConfigError(f"template {chart_type!r} has no required slot")
+        channels = [slot.channel for slot in slots]
+        for channel in channels:
+            if channels.count(channel) > 1:
+                raise ConfigError(f"template {chart_type!r} names channel {channel!r} in two slots")
         self.chart_type = chart_type
         self.dtype = dtype
         self.slots = slots
@@ -68,23 +72,21 @@ def load_templates(path: str | Path,
     type a renderer exists for to the data type whose payload that renderer
     reads (None: any) and the channels it draws; a template names such a
     type at most once, is for that data type and requires those channels."""
-    doc = read_config_json(path, "template file")
+    fail = config_file("template file", path)
+    doc = read_json(path, fail)
     if not isinstance(doc, list) or not doc or not all(_is_template(item) for item in doc):
-        raise ConfigError(f"template file {path} must be a non-empty JSON array of objects, "
-                          "each with string chart_type and dtype and a list of slot objects, "
-                          "whose required is true or false")
+        raise fail("must be a non-empty JSON array of objects, each with string chart_type and "
+                   "dtype and a list of slot objects, whose required is true or false")
     templates = []
     seen: set[str] = set()
     for item in doc:
         if item["chart_type"] in seen:
-            raise ConfigError(f"template file {path} lists chart type {item['chart_type']!r} twice")
+            raise fail(f"lists chart type {item['chart_type']!r} twice")
         if item["chart_type"] not in drawable:
-            raise ConfigError(f"template file {path}: no renderer draws chart type "
-                              f"{item['chart_type']!r}")
+            raise fail(f"no renderer draws chart type {item['chart_type']!r}")
         dtype, channels = drawable[item["chart_type"]]
         if dtype not in (None, item["dtype"]):
-            raise ConfigError(f"template file {path}: {item['chart_type']!r} draws {dtype} data, "
-                              f"not {item['dtype']!r}")
+            raise fail(f"{item['chart_type']!r} draws {dtype} data, not {item['dtype']!r}")
         seen.add(item["chart_type"])
         try:
             slots = tuple(
@@ -93,11 +95,11 @@ def load_templates(path: str | Path,
             )
             templates.append(ChartTemplate(item["chart_type"], item["dtype"], slots))
         except ConfigError as exc:
-            raise ConfigError(f"template file {path}: {exc}")
+            raise fail(str(exc))
         optional = set(channels) - {s.channel for s in slots if s.required}
         if optional:
-            raise ConfigError(f"template file {path}: {item['chart_type']!r} is drawn from "
-                              f"{', '.join(sorted(optional))}, which its template must require")
+            raise fail(f"{item['chart_type']!r} is drawn from {', '.join(sorted(optional))}, "
+                       "which its template must require")
     return templates
 
 

@@ -22,16 +22,14 @@ changes after; `bind_alignment` only applies that plan to the specs.
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 from itertools import combinations
 from pathlib import Path
 
 from .chartspec import ChartSpec
 from .entitygraph import EntityGraph, NodeKey
-from .errors import ConfigError, MultipleImmutable, read_config_text
-from .ingest import Dataset, Field, extent, present
+from .errors import ConfigError, MultipleImmutable, config_file
+from .ingest import Dataset, Field, extent, present, read_table
 from .record import Record
 
 IMMUTABLE_CHART_TYPES = frozenset({"phylogenetic tree", "geographic map", "image"})
@@ -67,27 +65,20 @@ class ViabilityMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ViabilityMatrix":
-        reader = csv.reader(io.StringIO(read_config_text(path, "viability matrix")))
-        try:
-            rows = [row for row in reader if row]
-        except csv.Error as exc:  # such as a cell past the csv module's field size limit
-            raise ConfigError(f"viability matrix {path}: {exc}")
-        if not rows:
-            raise ConfigError(f"viability matrix {path} is empty")
-        header = [h.strip() for h in rows[0][1:]]
+        fail = config_file("viability matrix", path)
+        table = read_table(path, fail)
+        header = table.columns[1:]
         cells: dict[tuple[str, str], str] = {}
-        for row in rows[1:]:
+        for row in table.rows:
             name = row[0].strip()
-            if len(row) - 1 != len(header):
-                raise ConfigError(f"viability matrix {path}: ragged row {name!r}")
             for col, value in zip(header, row[1:]):
                 cells[(name, col)] = value.strip().upper()
         if sorted(header) != sorted({name for name, _ in cells}):
-            raise ConfigError(f"viability matrix {path}: row/column mismatch")
+            raise fail("row/column mismatch")
         try:
             return cls(cells)
         except ConfigError as exc:
-            raise ConfigError(f"viability matrix {path}: {exc}")
+            raise fail(str(exc))
 
 
 class SpatialGroup(Record):

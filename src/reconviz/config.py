@@ -14,8 +14,8 @@ from pathlib import Path
 from .chartspec import DEFAULT_COLOR_CARD_LIMIT, DEFAULT_HIGHCARD_THRESHOLD
 from .designspace import DEFAULT_DECAY
 from .entitygraph import DEFAULT_MIN_JACCARD
-from .errors import ConfigError, read_config_json
-from .ingest import DATA_TYPES, Dataset, load_dataset
+from .errors import ConfigError, config_file
+from .ingest import DATA_TYPES, Dataset, load_dataset, read_json
 from .record import Record
 
 ASSETS_DIR = Path(__file__).parent / "assets"
@@ -140,7 +140,7 @@ def _check_kind(label: str, value, kind: str) -> None:
         raise ConfigError(f"{label} must be {kind}, got {json.dumps(value)}")
 
 
-def _manifest_items(datasets) -> list[dict]:
+def _manifest_items(datasets, fail) -> list[dict]:
     """The config file's dataset entries, each checked to be an object with
     string `path` and `dtype` and, when given, string `id` and `associated`."""
     if datasets is None:
@@ -149,7 +149,7 @@ def _manifest_items(datasets) -> list[dict]:
         raise ConfigError(f"config key 'datasets' must be a list of objects, got {json.dumps(datasets)}")
     for i, item in enumerate(datasets):
         if "path" not in item or "dtype" not in item:
-            raise ConfigError(f"dataset entry {i} needs path and dtype")
+            raise fail(f"dataset entry {i} needs path and dtype")
         for name in ("path", "dtype", "id", "associated"):
             if name in ("path", "dtype") or item.get(name) is not None:
                 _check_kind(f"config key 'datasets': entry {i} {name!r}", item[name], "a string")
@@ -163,9 +163,10 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    doc = read_config_json(path, "config file")
+    fail = config_file("config file", path)
+    doc = read_json(path, fail)
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must be a JSON object")
+        raise fail("must be a JSON object")
     base = path.parent
 
     def resolve(value: str | None) -> Path | None:
@@ -181,11 +182,12 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
             dtype=item["dtype"],
             associated=resolve(item.get("associated")),
         )
-        for item in _manifest_items(doc.get("datasets"))
+        for item in _manifest_items(doc.get("datasets"), fail)
     ]
     ids = [e.id for e in entries]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate dataset ids in manifest")
+    for ds_id in ids:
+        if ids.count(ds_id) > 1:
+            raise fail(f"duplicate dataset id {ds_id!r} in manifest")
 
     paths = (*ASSET_FIELDS, "out_dir")
     settings = {}

@@ -12,8 +12,8 @@ import csv
 import io
 from pathlib import Path
 
-from .errors import (AllZeroCounts, ConfigError, EmptyDesignSpace, UnmappedDataType,
-                     read_config_json, read_config_text)
+from .errors import AllZeroCounts, ConfigError, EmptyDesignSpace, UnmappedDataType, config_file
+from .ingest import read_json, read_table
 from .record import Record
 
 DEFAULT_DECAY = 0.9
@@ -34,22 +34,18 @@ class PrevalenceDesignSpace:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PrevalenceDesignSpace":
+        fail = config_file("design space file", path)
+        table = read_table(path, fail)
         try:
-            rows = list(csv.DictReader(io.StringIO(read_config_text(path, "design space file"))))
-        except csv.Error as exc:  # such as a cell past the csv module's field size limit
-            raise ConfigError(f"design space file {path}: {exc}")
-        if not rows:
-            raise EmptyDesignSpace(f"design space file {path} has no rows")
-        entries = []
-        for row in rows:
-            try:
-                entries.append((row["chart_type"].strip(), int(row["year"]), int(row["count"])))
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(f"design space file {path} needs chart_type,year,count rows")
+            chart, year, count = map(table.columns.index, ("chart_type", "year", "count"))
+            entries = tuple((row[chart].strip(), int(row[year]), int(row[count]))
+                            for row in table.rows)
+        except ValueError:  # a column missing, or a year or count not an integer
+            raise fail("needs chart_type,year,count rows")
         try:
-            return cls(tuple(entries))
+            return cls(entries)
         except ConfigError as exc:
-            raise ConfigError(f"design space file {path}: {exc}")
+            raise fail(str(exc))
 
 
 def raw_relevance(space: PrevalenceDesignSpace, decay: float = DEFAULT_DECAY) -> dict[str, float]:
@@ -121,10 +117,10 @@ class TypeEncodingMap(Record):
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TypeEncodingMap":
-        doc = read_config_json(path, "encoding map")
+        fail = config_file("encoding map", path)
+        doc = read_json(path, fail)
         if not isinstance(doc, dict) or not all(
                 isinstance(charts, list) and all(isinstance(c, str) for c in charts)
                 for charts in doc.values()):
-            raise ConfigError(f"encoding map {path} must be a JSON object mapping each data type "
-                              "to a list of chart type names")
+            raise fail("must be a JSON object mapping each data type to a list of chart type names")
         return cls({dtype: tuple(charts) for dtype, charts in sorted(doc.items())}, path)

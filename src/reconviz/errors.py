@@ -6,8 +6,7 @@ so the CLI can map them to exit code 2; everything else is a pipeline bug.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from collections.abc import Callable
 
 
 class ReconVizError(Exception):
@@ -75,21 +74,10 @@ class ConfigError(InputError):
     pass
 
 
-def read_config_text(path: str | Path, what: str) -> str:
-    """The text of the UTF-8 config or asset file `path`; `what` names the
-    file in the ConfigError raised when it is not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not UTF-8: {exc}")
-
-
-def read_config_json(path: str | Path, what: str):
-    """The JSON document in the config or asset file `path`, as
-    `read_config_text` reads it; invalid JSON is a ConfigError too."""
-    try:
-        return json.loads(read_config_text(path, what))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}")
-    except ValueError as exc:  # an integer with more digits than int() converts
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+def config_file(what: str, path) -> Callable[..., ConfigError]:
+    """The `fail(detail, line=None)` of the config or asset file `path`: a
+    ConfigError that names the file as `what` and `path`, and the line if known."""
+    def fail(detail: str, line: int | None = None) -> ConfigError:
+        where = path if line is None else f"{path}:{line}"
+        return ConfigError(f"{what} {where}: {detail}")
+    return fail

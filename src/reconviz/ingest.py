@@ -17,7 +17,7 @@ import io
 import json
 import math
 import re
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .errors import ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
@@ -256,32 +256,48 @@ def _make_field(name: str, source_id: str, raw_values: list[str]) -> Field | Non
 # Format readers
 # ---------------------------------------------------------------------------
 
-def _read_text(path: Path, dtype: str) -> str:
+def read_text(path: str | Path, fail) -> str:
+    """The text of the UTF-8 file `path`, a leading byte-order mark dropped.
+    `fail(detail, line=None)` builds the error raised for a bad file, here and
+    in `read_json` and `read_table`: a ParseError for a data file, and for the
+    config or an asset file the ConfigError of `errors.config_file`."""
     try:
-        return path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(dtype, str(path), f"not UTF-8: {exc}")
+        raise fail(f"not UTF-8: {exc}")
 
 
-def _read_csv_table(path: Path, dtype: str) -> Table:
-    reader = csv.reader(io.StringIO(_read_text(path, dtype)))
+def read_json(path: str | Path, fail):
+    """The JSON document in the file `path`, as `read_text` reads it."""
+    try:
+        return json.loads(read_text(path, fail))
+    except json.JSONDecodeError as exc:
+        raise fail(f"not valid JSON: {exc.msg}", exc.lineno)
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise fail(f"not valid JSON: {exc}")
+
+
+def read_table(path: str | Path, fail) -> Table:
+    """The rectangular CSV table in the file `path`, as `read_text` reads it:
+    a header of distinct names, stripped, and at least one row of as many
+    cells; blank lines are skipped."""
+    reader = csv.reader(io.StringIO(read_text(path, fail)))
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:  # such as a cell past the csv module's field size limit
-        raise ParseError(dtype, str(path), str(exc), line=reader.line_num)
+        raise fail(str(exc), reader.line_num)
     if not rows:
-        raise ParseError(dtype, str(path), "file is empty")
+        raise fail("file is empty")
     header = tuple(col.strip() for col in rows[0])
     if len(rows) == 1:
-        raise ParseError(dtype, str(path), "header-only file has zero data rows")
+        raise fail("header-only file has zero data rows")
     if len(set(header)) != len(header):
-        raise ParseError(dtype, str(path), "duplicate column names in header")
-    body = []
+        raise fail("duplicate column names in header")
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise ParseError(dtype, str(path), f"expected {len(header)} cells, got {len(row)}", line=i)
-        body.append(tuple(row))
-    return Table(header, tuple(body))
+            raise fail(f"expected {len(header)} cells, got {len(row)}", i)
+    return Table(header, tuple(map(tuple, rows[1:])))
 
 
 _BLANKS = re.compile(r"(?:[ \t\r\n]|\[[^\]]*\])*")  # blanks and closed [] comments
@@ -295,8 +311,7 @@ def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
     pos = 0
     n = len(text)
 
-    def error(detail: str) -> ParseError:
-        return ParseError(TREE, path, detail, line=None)
+    error = partial(ParseError, TREE, path)
 
     def skip() -> None:  # past blanks and comments
         nonlocal pos
@@ -379,15 +394,11 @@ def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
     return node
 
 
-def _read_tree(path: Path) -> TreeNode:
-    return parse_newick(_read_text(path, TREE), str(path))
-
-
-def _read_fasta(path: Path) -> SequenceSet:
+def _read_fasta(path: Path, fail) -> SequenceSet:
     records: list[tuple[str, str]] = []
     current_id: str | None = None
     chunks: list[str] = []
-    for lineno, line in enumerate(_read_text(path, GENOMIC).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, fail).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -396,20 +407,20 @@ def _read_fasta(path: Path) -> SequenceSet:
                 records.append((current_id, "".join(chunks)))
             header = line[1:].strip()
             if not header:
-                raise ParseError(GENOMIC, str(path), "empty FASTA header", line=lineno)
+                raise fail("empty FASTA header", lineno)
             current_id = header.split()[0]
             chunks = []
         else:
             if current_id is None:
-                raise ParseError(GENOMIC, str(path), "sequence data before first header", line=lineno)
+                raise fail("sequence data before first header", lineno)
             chunks.append(line)
     if current_id is not None:
         records.append((current_id, "".join(chunks)))
     if not records:
-        raise ParseError(GENOMIC, str(path), "no FASTA records")
+        raise fail("no FASTA records")
     ids = [rec_id for rec_id, _ in records]
     if len(set(ids)) != len(ids):
-        raise ParseError(GENOMIC, str(path), "duplicate sequence ids")
+        raise fail("duplicate sequence ids")
     return SequenceSet(tuple(records))
 
 
@@ -425,28 +436,23 @@ def _ring_points(ring: list) -> tuple:
     return tuple(pts)
 
 
-def _read_geojson(path: Path) -> FeatureSet:
-    try:
-        doc = json.loads(_read_text(path, SPATIAL))
-    except json.JSONDecodeError as exc:
-        raise ParseError(SPATIAL, str(path), f"invalid JSON: {exc.msg}", line=exc.lineno)
-    except ValueError as exc:  # an integer with more digits than int() converts
-        raise ParseError(SPATIAL, str(path), f"invalid JSON: {exc}")
+def _read_geojson(path: Path, fail) -> FeatureSet:
+    doc = read_json(path, fail)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise ParseError(SPATIAL, str(path), "expected a GeoJSON FeatureCollection")
+        raise fail("expected a GeoJSON FeatureCollection")
     raw_features = doc.get("features", [])
     if not isinstance(raw_features, list):
-        raise ParseError(SPATIAL, str(path), "\"features\" is not an array")
+        raise fail("\"features\" is not an array")
     features = []
     for i, feat in enumerate(raw_features):
         if not isinstance(feat, dict):
-            raise ParseError(SPATIAL, str(path), f"feature {i} is not an object")
+            raise fail(f"feature {i} is not an object")
         geom = feat.get("geometry") or {}
         if not isinstance(geom, dict):
-            raise ParseError(SPATIAL, str(path), f"feature {i}: geometry is not an object")
+            raise fail(f"feature {i}: geometry is not an object")
         props = feat.get("properties")
         if not isinstance(props, dict):
-            raise ParseError(SPATIAL, str(path), f"feature {i} has no properties object")
+            raise fail(f"feature {i} has no properties object")
         gtype = geom.get("type")
         coords = geom.get("coordinates", [])
         try:
@@ -455,33 +461,33 @@ def _read_geojson(path: Path) -> FeatureSet:
             elif gtype == "MultiPolygon":
                 polygons = tuple(tuple(_ring_points(ring) for ring in poly) for poly in coords)
             else:
-                raise ParseError(SPATIAL, str(path), f"feature {i}: unsupported geometry {gtype!r}")
+                raise fail(f"feature {i}: unsupported geometry {gtype!r}")
         except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
-            raise ParseError(SPATIAL, str(path), f"feature {i}: malformed coordinates")
+            raise fail(f"feature {i}: malformed coordinates")
         # keep non-empty outer rings only; holes add nothing at recon scale
         outer = tuple(poly[0] for poly in polygons if poly and poly[0])
         features.append(Feature(dict(props), outer))
     if not features:
-        raise ParseError(SPATIAL, str(path), "FeatureCollection has no features")
+        raise fail("FeatureCollection has no features")
     points = [pt for feat in features for ring in feat.polygons for pt in ring]
     if not points:
-        raise ParseError(SPATIAL, str(path), "no feature has an outer ring point")
+        raise fail("no feature has an outer ring point")
     # the map scales each axis by its span, which must be a finite float
     if not all(math.isfinite(max(axis) - min(axis)) for axis in zip(*points)):
-        raise ParseError(SPATIAL, str(path), "coordinate span overflows the float range")
+        raise fail("coordinate span overflows the float range")
     return FeatureSet(tuple(features))
 
 
-def _read_edge_list(path: Path) -> EdgeTable:
-    table = _read_csv_table(path, NETWORK)
+def _read_edge_list(path: Path, fail) -> EdgeTable:
+    table = read_table(path, fail)
     if len(table.columns) < 2:
-        raise ParseError(NETWORK, str(path), "edge list needs at least source,target columns")
+        raise fail("edge list needs at least source,target columns")
     return EdgeTable(table.columns, table.rows)
 
 
 _READERS = {
-    TABULAR: lambda path: _read_csv_table(path, TABULAR),
-    TREE: _read_tree,
+    TABULAR: read_table,
+    TREE: lambda path, fail: parse_newick(read_text(path, fail), str(path)),
     GENOMIC: _read_fasta,
     SPATIAL: _read_geojson,
     NETWORK: _read_edge_list,
@@ -524,16 +530,13 @@ def load_dataset(
     if dtype == IMAGE:
         if associated_path is None:
             raise ParseError(IMAGE, str(path), "image data requires a sidecar table")
-        sidecar = _read_csv_table(Path(associated_path), IMAGE)
+        sidecar = read_table(associated_path, partial(ParseError, IMAGE, str(associated_path)))
         return Dataset(ds_id, dtype, ImageRef(str(path)), sidecar, sidecar.columns[0])
 
-    payload = _READERS[dtype](path)
+    payload = _READERS[dtype](path, partial(ParseError, dtype, str(path)))
     if associated_path is None:
         return Dataset(ds_id, dtype, payload)
-    assoc_path = Path(associated_path)
-    if not assoc_path.exists():
-        raise FileNotFoundError(str(assoc_path))
-    table = _read_csv_table(assoc_path, TABULAR)
+    table = read_table(associated_path, partial(ParseError, TABULAR, str(associated_path)))
     return Dataset(ds_id, dtype, payload, table, _associated_key(ds_id, payload, table))
 
 

@@ -4,7 +4,8 @@
 plus a final newline. `json.dumps` with an indent runs the pure-Python
 encoder; this writer builds the same text from the C string escaper and the
 number reprs `json` itself uses, and writes a list of strings in one join.
-Dict keys must be strings, and scalar values of the exact types `str`, `int`,
+Dict keys and the items of an all-string list (the join) may be any `str`,
+a subclass too; every other scalar must be of the exact type `str`, `int`,
 `float`, `bool` or `None`: a subclass such as an `IntEnum` raises `TypeError`.
 """
 
@@ -85,8 +86,8 @@ def _write(obj, newline: str, out) -> None:
 
 
 def json_text(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, for `str` dict keys
-    and the exact types listed above; other types raise `TypeError`."""
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, for the types the
+    module docstring lists where it lists them; others raise `TypeError`."""
     parts: list[str] = []
     _write(obj, "\n", parts.append)
     parts.append("\n")

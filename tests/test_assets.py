@@ -175,6 +175,14 @@ class TestAssetFilesExitTwo:
         cfg = fig1_config(tmp_path, templates=json.dumps(templates).encode())
         assert_input_error(cfg, command, "templates.json", "'scatter chart'", "x, y")
 
+    def test_template_naming_one_channel_in_two_slots(self, tmp_path, command):
+        """`specs` wrote `"required_channels": ["x", "x"]` with a single x
+        binding: the second slot's field had replaced the first's."""
+        histogram = {"chart_type": "histogram", "dtype": "tabular",
+                     "slots": [{"channel": "x", "required": True}] * 2}
+        cfg = fig1_config(tmp_path, templates=json.dumps([histogram]).encode())
+        assert_input_error(cfg, command, "templates.json", "'histogram'", "channel 'x'")
+
     def test_asset_path_that_is_a_directory(self, tmp_path, command):
         (tmp_path / "assets").mkdir()
         cfg = write_config(tmp_path, fig1_datasets(FIG1), templates=str(tmp_path / "assets"))
@@ -238,6 +246,80 @@ class TestInputFilesExitTwo:
         """Writing under an existing file ended in a FileExistsError traceback."""
         cfg = write_config(tmp_path, fig1_datasets(FIG1), out_dir="config.json")
         assert_input_error(cfg, ["specs"], "config.json")
+
+
+def _manifest(index: int, **changes):
+    """Builds the fig1 config with manifest entry `index` updated by `changes`;
+    a key changed to None is removed."""
+    def build(root: Path) -> Path:
+        datasets = fig1_datasets(FIG1)
+        entry = {**datasets[index], **changes}
+        datasets[index] = {key: value for key, value in entry.items() if value is not None}
+        return write_config(root, datasets)
+    return build
+
+
+def _feature(**changes):
+    """Builds the fig1 config with the map's first feature updated by `changes`."""
+    def build(root: Path) -> Path:
+        doc = json.loads((FIG1 / "regions.geojson").read_text(encoding="utf-8"))
+        doc["features"][0].update(changes)
+        (root / "regions.geojson").write_text(json.dumps(doc), encoding="utf-8")
+        return _manifest(2, path="regions.geojson")(root)
+    return build
+
+
+def _assets(**assets: bytes):
+    """Builds the fig1 config with the given asset files, as `fig1_config`."""
+    return lambda root: fig1_config(root, **assets)
+
+
+def _template_with_unknown_constraint(root: Path) -> Path:
+    templates = shipped_json("templates")
+    templates[0]["slots"][0]["constraint"] = "bogus"
+    return fig1_config(root, templates=json.dumps(templates).encode())
+
+
+# case -> (command, config builder, what stderr must name), one case per
+# input-error branch; a relative path in a config resolves against its directory
+INPUT_ERRORS = {
+    "unknown dtype": (["link"], _manifest(1, dtype="bogus"), ["dataset 'cases'", "'bogus'"]),
+    "missing associated file": (["link"], _manifest(0, associated="nope.csv"),
+                                ["dataset 'phylo'", "nope.csv"]),
+    "missing asset file": (["specs"], lambda root: write_config(
+        root, fig1_datasets(FIG1), templates="nope.json"), ["templates", "nope.json"]),
+    "entry without dtype": (["link"], _manifest(1, dtype=None),
+                            ["config.json", "dataset entry 1"]),
+    "missing config file": (["link"], lambda root: root / "missing.json", ["missing.json"]),
+    "duplicate dataset ids": (["link"], _manifest(2, id="cases"), ["config.json", "'cases'"]),
+    "negative design-space count": (
+        ["specs"], _assets(design_space=b"chart_type,year,count\nbar chart,2020,-1\n"),
+        ["design_space.csv", "negative count"]),
+    "short design-space row": (
+        ["specs"], _assets(design_space=SHIPPED["design_space"].read_bytes() + b"bar chart,2020\n"),
+        ["design_space.csv:", "expected 3 cells, got 2"]),
+    "design-space row with an extra cell": (
+        ["specs"], _assets(design_space=SHIPPED["design_space"].read_bytes() + b"bar chart,2020,1,9\n"),
+        ["design_space.csv:", "expected 3 cells, got 4"]),
+    "header-only design space": (["specs"], _assets(design_space=b"chart_type,year,count\n"),
+                                 ["design_space.csv", "header-only"]),
+    "empty viability matrix": (["specs"], _assets(viability_matrix=b""),
+                               ["viability_matrix.csv", "file is empty"]),
+    "ring point not a list": (
+        ["link"], _feature(geometry={"type": "Polygon", "coordinates": [[5, 6, 7]]}),
+        ["regions.geojson", "feature 0: malformed coordinates"]),
+    "null properties": (["link"], _feature(properties=None),
+                        ["regions.geojson", "feature 0 has no properties object"]),
+    "unknown slot constraint": (["specs"], _template_with_unknown_constraint,
+                                ["templates.json", "unknown constraint 'bogus'"]),
+}
+
+
+class TestInputErrorsNameTheirSource:
+    @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+    def test_exits_two_naming_the_file_or_entry(self, tmp_path, case):
+        command, build, needles = INPUT_ERRORS[case]
+        assert_input_error(build(tmp_path), command, *needles)
 
 
 class TestRunWithNoViews:

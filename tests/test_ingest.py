@@ -117,6 +117,13 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.csv", "tabular")
 
+    @pytest.mark.parametrize("dtype, name, content", [("tree", "t.nwk", "(a,b);"),
+                                                      ("image", "gel.png", "")])
+    def test_missing_associated_file_names_it(self, tmp_path, dtype, name, content):
+        (tmp_path / name).write_text(content)
+        with pytest.raises(FileNotFoundError, match="nope.csv"):
+            load_dataset(tmp_path / name, dtype, tmp_path / "nope.csv")
+
     def test_tabular_shape_matches_line_oracle(self, tmp_path):
         path = tmp_path / "synth.csv"
         header = "c1,c2,c3,c4,c5,c6"

@@ -68,6 +68,14 @@ class TestJsonText:
         with pytest.raises(TypeError):
             json_text(obj)
 
+    @pytest.mark.parametrize("obj", [{Name("k"): 1}, {"a": {Name("b"): [], "c": 2}},
+                                     ["a", Name("x")], [Name("x")], {"k": [Name("x"), "b"]}],
+                             ids=["key", "nested key", "string list", "one item", "list value"])
+    def test_str_subclass_as_key_or_in_a_list_of_strings_is_written_as_its_text(self, obj):
+        """The two places a `str` subclass is accepted: the key loop and the
+        one-join list of strings; both write what `json.dumps` writes."""
+        assert json_text(obj) == oracle(obj)
+
     @pytest.mark.parametrize("obj", [{1, 2}, b"bytes", object(), [1, {"a": 1j}], ["a", b"b"],
                                      Level.LOW, Name("x")])
     def test_unknown_type_is_a_type_error(self, obj):

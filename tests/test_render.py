@@ -359,6 +359,15 @@ class TestTableChart:
                             dataset_id="s")
         assert self.header(seqs, "seq_id") == ["seq_id", "host", "year"]
 
+    def test_rows_follow_the_domain_order_then_the_unlisted_keys(self, tmp_path):
+        (tmp_path / "t.csv").write_text("id,n\ns1,1\ns2,2\ns3,3\ns4,4\n")
+        table = load_dataset(tmp_path / "t.csv", "tabular", dataset_id="t")
+        spec = simple_spec("t:table", "table", "t", annotations={"domain_order": ["s3", "s1"]},
+                           y="t.id")
+        fragment = render_chart(spec, {"t": table}, graph_of([table]))
+        cells = [t.text for t in wrap(fragment).iter(f"{SVG_NS}text") if t.get("class") == "cell"]
+        assert cells == ["s3", "3", "s1", "1", "s2", "2", "s4", "4"]
+
     def test_edge_list_without_table_shows_the_bound_key(self, tmp_path):
         (tmp_path / "net.csv").write_text("source,target,weight\nn1,n2,1\nn2,n3,2\n")
         net = load_dataset(tmp_path / "net.csv", "network", dataset_id="net")
