@@ -1,6 +1,6 @@
 """Run configuration: dataset manifest plus every tunable, built once from
-one JSON file and the command-line flags, which win over the file. A
-`RunConfig` is frozen and validated when it is built. Relative paths resolve
+one JSON file and the command-line flags, which win over the file; an error
+in the file names it. A frozen `RunConfig` checks its ranges. Relative paths resolve
 against the config file's directory; unset resource paths fall back to the
 shipped assets.
 """
@@ -15,7 +15,7 @@ from .chartspec import DEFAULT_COLOR_CARD_LIMIT, DEFAULT_HIGHCARD_THRESHOLD
 from .designspace import DEFAULT_DECAY
 from .entitygraph import DEFAULT_MIN_JACCARD
 from .errors import ConfigError, config_file
-from .ingest import DATA_TYPES, Dataset, load_dataset, read_json
+from .ingest import ASSOCIATED_OK, DATA_TYPES, Dataset, load_dataset, read_json
 from .record import Record
 
 ASSETS_DIR = Path(__file__).parent / "assets"
@@ -83,18 +83,7 @@ class RunConfig:
         raise AttributeError(f"cannot assign to field {name!r}: a RunConfig is frozen")
 
     def validate(self) -> None:
-        # an empty manifest is legal: it yields an empty graph and no views
-        for entry in self.datasets:
-            if entry.dtype not in DATA_TYPES:
-                raise ConfigError(f"dataset {entry.id!r}: unknown dtype {entry.dtype!r}")
-            if not entry.path.exists():
-                raise ConfigError(f"dataset {entry.id!r}: file not found: {entry.path}")
-            if entry.associated is not None and not entry.associated.exists():
-                raise ConfigError(f"dataset {entry.id!r}: file not found: {entry.associated}")
-        for label in ASSET_FIELDS:
-            path = getattr(self, label)
-            if not Path(path).exists():
-                raise ConfigError(f"{label} file not found: {path}")
+        # the range checks: a flag can set these, so their messages name only the key
         if not (0 <= self.min_jaccard < 1):
             raise ConfigError(f"min_jaccard must be in [0, 1), got {self.min_jaccard}")
         if not (0 < self.decay <= 1):
@@ -135,25 +124,40 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _check_kind(label: str, value, kind: str) -> None:
+def _check_kind(label: str, value, kind: str, fail) -> None:
     if not KINDS[kind](value):
-        raise ConfigError(f"{label} must be {kind}, got {json.dumps(value)}")
+        raise fail(f"{label} must be {kind}, got {json.dumps(value)}")
 
 
-def _manifest_items(datasets, fail) -> list[dict]:
-    """The config file's dataset entries, each checked to be an object with
-    string `path` and `dtype` and, when given, string `id` and `associated`."""
+def _manifest(datasets, resolve, fail) -> tuple[ManifestEntry, ...]:
+    """The config file's dataset entries, each checked in turn: an object with string
+    `path` and `dtype` and, when given, string `id` and `associated`; a known dtype; an
+    associated table only where `ASSOCIATED_OK` allows one; files that exist; a new id."""
     if datasets is None:
-        return []
+        return ()
     if not isinstance(datasets, list) or not all(isinstance(item, dict) for item in datasets):
-        raise ConfigError(f"config key 'datasets' must be a list of objects, got {json.dumps(datasets)}")
+        raise fail(f"config key 'datasets' must be a list of objects, got {json.dumps(datasets)}")
+    entries = {}  # id -> entry
     for i, item in enumerate(datasets):
         if "path" not in item or "dtype" not in item:
             raise fail(f"dataset entry {i} needs path and dtype")
         for name in ("path", "dtype", "id", "associated"):
             if name in ("path", "dtype") or item.get(name) is not None:
-                _check_kind(f"config key 'datasets': entry {i} {name!r}", item[name], "a string")
-    return datasets
+                _check_kind(f"config key 'datasets': entry {i} {name!r}", item[name], "a string", fail)
+        entry = ManifestEntry(id=item.get("id") or Path(item["path"]).stem,
+                              path=resolve(item["path"]), dtype=item["dtype"],
+                              associated=resolve(item.get("associated")))
+        if entry.dtype not in DATA_TYPES:
+            raise fail(f"dataset {entry.id!r}: unknown dtype {entry.dtype!r}")
+        if entry.associated is not None and entry.dtype not in ASSOCIATED_OK:
+            raise fail(f"dataset {entry.id!r}: {entry.dtype} data takes no associated table")
+        for file in (entry.path, entry.associated):
+            if file is not None and not file.exists():
+                raise fail(f"dataset {entry.id!r}: file not found: {file}")
+        if entry.id in entries:
+            raise fail(f"duplicate dataset id {entry.id!r} in manifest")
+        entries[entry.id] = entry
+    return tuple(entries.values())
 
 
 def load_config(path: str | Path, **overrides) -> RunConfig:
@@ -161,8 +165,6 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     field -> value, such as the flags given on the command line) winning over
     the file's values."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     fail = config_file("config file", path)
     doc = read_json(path, fail)
     if not isinstance(doc, dict):
@@ -175,29 +177,18 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
         p = Path(value)
         return p if p.is_absolute() else base / p
 
-    entries = [
-        ManifestEntry(
-            id=item.get("id") or Path(item["path"]).stem,
-            path=resolve(item["path"]),
-            dtype=item["dtype"],
-            associated=resolve(item.get("associated")),
-        )
-        for item in _manifest_items(doc.get("datasets"), fail)
-    ]
-    ids = [e.id for e in entries]
-    for ds_id in ids:
-        if ids.count(ds_id) > 1:
-            raise fail(f"duplicate dataset id {ds_id!r} in manifest")
-
+    datasets = _manifest(doc.get("datasets"), resolve, fail)
     paths = (*ASSET_FIELDS, "out_dir")
     settings = {}
     for name, (key, kind, _) in SETTINGS.items():
         value = doc.get(key)
         if value is None or name in overrides:
             continue
-        _check_kind(f"config key {key!r}", value, kind)
+        _check_kind(f"config key {key!r}", value, kind, fail)
         settings[name] = resolve(value) if name in paths else value
+        if name in ASSET_FIELDS and not settings[name].exists():
+            raise fail(f"{key} file not found: {settings[name]}")
     settings.update(overrides)
     if "user_fields" in settings:
         settings["user_fields"] = tuple(settings["user_fields"])
-    return RunConfig(datasets=tuple(entries), **settings)
+    return RunConfig(datasets=datasets, **settings)

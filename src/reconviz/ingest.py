@@ -20,7 +20,7 @@ import re
 from functools import cached_property, partial
 from pathlib import Path
 
-from .errors import ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
+from .errors import DuplicateDatasetId, KeyMismatch, ParseError
 from .record import Record
 
 MISSING_MARKERS = {"", "na", "nan", "null"}
@@ -41,7 +41,7 @@ IMAGE = "image"
 DATA_TYPES = (TABULAR, TREE, GENOMIC, SPATIAL, NETWORK, IMAGE)
 
 # Attachable metadata only makes sense where the primary payload has row ids.
-_ASSOCIATED_OK = {TREE, GENOMIC, IMAGE}
+ASSOCIATED_OK = {TREE, GENOMIC, IMAGE}
 
 
 def present(column) -> list:
@@ -282,7 +282,8 @@ def read_table(path: str | Path, fail) -> Table:
     """The rectangular CSV table in the file `path`, as `read_text` reads it:
     a header of distinct names, stripped, and at least one row of as many
     cells; blank lines are skipped."""
-    reader = csv.reader(io.StringIO(read_text(path, fail)))
+    text = read_text(path, fail)
+    reader = csv.reader(io.StringIO(text))
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:  # such as a cell past the csv module's field size limit
@@ -296,7 +297,12 @@ def read_table(path: str | Path, fail) -> Table:
         raise fail("duplicate column names in header")
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise fail(f"expected {len(header)} cells, got {len(row)}", i)
+            # row i starts on the file line after the rows and blank lines before it
+            reread, found = csv.reader(io.StringIO(text)), 0
+            while found < i:
+                line = reread.line_num + 1
+                found += bool(next(reread))
+            raise fail(f"expected {len(header)} cells, got {len(row)}", line)
     return Table(header, tuple(map(tuple, rows[1:])))
 
 
@@ -494,8 +500,8 @@ _READERS = {
 }
 
 
-def _associated_key(dataset_id: str, payload, table: Table) -> str:
-    """The metadata column best matching the payload's row ids (its first column)."""
+def _associated_key(where: str, payload, table: Table) -> str:
+    """The column of the table `where` best matching the payload's row ids (its first column)."""
     ids = set(next(iter(payload.raw_columns.values())))
     best_col = None
     best_overlap = 0
@@ -505,9 +511,7 @@ def _associated_key(dataset_id: str, payload, table: Table) -> str:
             best_overlap = overlap
             best_col = col
     if best_col is None:
-        raise KeyMismatch(
-            f"associated table for {dataset_id!r} shares no key values with the primary payload"
-        )
+        raise KeyMismatch(f"{where} shares no key values with the primary payload")
     return best_col
 
 
@@ -517,14 +521,8 @@ def load_dataset(
     associated_path: str | Path | None = None,
     dataset_id: str | None = None,
 ) -> Dataset:
-    """Load one data source from disk into a normalized Dataset."""
-    if dtype not in DATA_TYPES:
-        raise ConfigError(f"unknown data type {dtype!r}; expected one of {', '.join(DATA_TYPES)}")
+    """Load one data source, a manifest entry `config.load_config` checked, into a Dataset."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    if associated_path is not None and dtype not in _ASSOCIATED_OK:
-        raise ConfigError(f"associated tables are not supported for {dtype} data")
     ds_id = dataset_id or path.stem
 
     if dtype == IMAGE:
@@ -537,7 +535,8 @@ def load_dataset(
     if associated_path is None:
         return Dataset(ds_id, dtype, payload)
     table = read_table(associated_path, partial(ParseError, TABULAR, str(associated_path)))
-    return Dataset(ds_id, dtype, payload, table, _associated_key(ds_id, payload, table))
+    where = f"associated table {associated_path} for dataset {ds_id!r}"
+    return Dataset(ds_id, dtype, payload, table, _associated_key(where, payload, table))
 
 
 # ---------------------------------------------------------------------------

@@ -280,18 +280,44 @@ def _template_with_unknown_constraint(root: Path) -> Path:
     return fig1_config(root, templates=json.dumps(templates).encode())
 
 
+def _fasta_with_unkeyed_table(root: Path) -> Path:
+    (root / "f.fasta").write_text(">s1\nACGT\n", encoding="utf-8")
+    (root / "f_meta.csv").write_text("id,g\nzz,1\n", encoding="utf-8")
+    return write_config(root, [{"id": "f", "path": "f.fasta", "dtype": "genomic",
+                                "associated": "f_meta.csv"}])
+
+
+# case -> (config builder, what stderr must name) for a manifest that breaks a
+# rule of the config file: every command refuses it, `relevance` too, which
+# loads no dataset
+MANIFEST_ERRORS = {
+    "unknown dtype": (_manifest(1, dtype="bogus"), ["config.json", "dataset 'cases'", "'bogus'"]),
+    "missing associated file": (_manifest(0, associated="nope.csv"),
+                                ["config.json", "dataset 'phylo'", "nope.csv"]),
+    "missing data file": (_manifest(1, path="nope.csv"),
+                          ["config.json", "dataset 'cases'", "nope.csv"]),
+    "entry without dtype": (_manifest(1, dtype=None), ["config.json", "dataset entry 1"]),
+    "duplicate dataset ids": (_manifest(2, id="cases"), ["config.json", "'cases'"]),
+    "associated on tabular": (_manifest(1, associated=str(FIG1 / "phylo_meta.csv")),
+                              ["config.json", "tabular data takes no associated table"]),
+    "associated on spatial": (_manifest(2, associated=str(FIG1 / "phylo_meta.csv")),
+                              ["config.json", "spatial data takes no associated table"]),
+    "associated on network": (_manifest(1, dtype="network", associated=str(FIG1 / "phylo_meta.csv")),
+                              ["config.json", "network data takes no associated table"]),
+    "config value of the wrong type": (
+        lambda root: write_config(root, fig1_datasets(FIG1), max_charts="5"),
+        ["config.json", "'max_charts' must be an integer"]),
+}
+
 # case -> (command, config builder, what stderr must name), one case per
 # input-error branch; a relative path in a config resolves against its directory
 INPUT_ERRORS = {
-    "unknown dtype": (["link"], _manifest(1, dtype="bogus"), ["dataset 'cases'", "'bogus'"]),
-    "missing associated file": (["link"], _manifest(0, associated="nope.csv"),
-                                ["dataset 'phylo'", "nope.csv"]),
+    **{case: (["link"], build, needles) for case, (build, needles) in MANIFEST_ERRORS.items()},
     "missing asset file": (["specs"], lambda root: write_config(
-        root, fig1_datasets(FIG1), templates="nope.json"), ["templates", "nope.json"]),
-    "entry without dtype": (["link"], _manifest(1, dtype=None),
-                            ["config.json", "dataset entry 1"]),
+        root, fig1_datasets(FIG1), templates="nope.json"), ["config.json", "templates", "nope.json"]),
     "missing config file": (["link"], lambda root: root / "missing.json", ["missing.json"]),
-    "duplicate dataset ids": (["link"], _manifest(2, id="cases"), ["config.json", "'cases'"]),
+    "associated table sharing no key": (["link"], _fasta_with_unkeyed_table,
+                                        ["f_meta.csv", "dataset 'f'", "shares no key values"]),
     "negative design-space count": (
         ["specs"], _assets(design_space=b"chart_type,year,count\nbar chart,2020,-1\n"),
         ["design_space.csv", "negative count"]),
@@ -320,6 +346,13 @@ class TestInputErrorsNameTheirSource:
     def test_exits_two_naming_the_file_or_entry(self, tmp_path, case):
         command, build, needles = INPUT_ERRORS[case]
         assert_input_error(build(tmp_path), command, *needles)
+
+    @pytest.mark.parametrize("case", sorted(MANIFEST_ERRORS))
+    def test_relevance_refuses_the_manifest_too(self, tmp_path, case):
+        """`relevance` loads no dataset, and exited 0 on an associated table
+        given to a network entry."""
+        build, needles = MANIFEST_ERRORS[case]
+        assert_input_error(build(tmp_path), ["relevance"], *needles)
 
 
 class TestRunWithNoViews:

@@ -1054,7 +1054,7 @@ class TestUsageAndDeterminism:
         cfg = write_config(tmp_path, doc.pop("datasets"), **doc)
         assert run(["specs", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config key ") and repr(key) in err, err
+        assert err.startswith(f"error: config file {cfg}: config key ") and repr(key) in err, err
         assert not (tmp_path / "out").exists()
 
     def test_a_flag_replaces_a_file_value_of_the_wrong_type(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reconviz.entitygraph import build_entity_graph, spoke_key
-from reconviz.errors import ConfigError, DuplicateDatasetId, KeyMismatch, ParseError
+from reconviz.errors import DuplicateDatasetId, KeyMismatch, ParseError
 from reconviz.ingest import (
     MISSING_MARKERS,
     Dataset,
@@ -113,6 +113,15 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(path, "tabular")
 
+    @pytest.mark.parametrize("text", ["a,b\n\n\nx\n", 'a,b\n"1\n2",3\nx\n'],
+                             ids=["blank lines", "quoted line break"])
+    def test_ragged_row_names_the_file_line_it_starts_on(self, tmp_path, text):
+        """The row was numbered among the non-blank rows, so these said :2 and :3."""
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r"t\.csv:4: expected 2 cells, got 1"):
+            load_dataset(path, "tabular")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.csv", "tabular")
@@ -153,18 +162,6 @@ class TestLoadDataset:
         bad.write_text("foo,bar\nx1,y1\nx2,y2\n")
         with pytest.raises(KeyMismatch):
             load_dataset(fig1_dir / "phylo.nwk", "tree", bad)
-
-    def test_associated_rejected_for_tabular(self, tmp_path, fig1_dir):
-        path = tmp_path / "a.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ConfigError):
-            load_dataset(path, "tabular", fig1_dir / "cases.csv")
-
-    def test_unknown_dtype(self, tmp_path):
-        path = tmp_path / "a.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ConfigError):
-            load_dataset(path, "excel")
 
     def test_image_requires_sidecar(self, synthetic_dir):
         with pytest.raises(ParseError):

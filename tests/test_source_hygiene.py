@@ -4,7 +4,8 @@ Code removed from `src/reconviz` should take its imports and its exception
 classes with it: every imported name is used in its module, and every leaf
 exception class in `errors.py` is raised somewhere in the package. Every input
 file is decoded and parsed by the three readers in `ingest.py`, and by no
-other function.
+other function. The dataset loader is called only with the manifest the
+config loader checked.
 """
 
 import ast
@@ -131,3 +132,24 @@ def test_the_file_read_finder_sees_each_kind_of_read():
     assert sorted(file_reads(tree)) == sorted(
         ("f", call) for call in ("open", "csv.reader", "csv.DictReader", "json.loads",
                                  "read_text", "open", "read_bytes"))
+
+
+def calls(tree: ast.Module, name: str):
+    """The enclosing class.function of every call to a function or method `name`."""
+    def walk(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and (dotted(child.func) or "").split(".")[-1] == name:
+                yield scope
+            yield from walk(child, inner)
+    yield from walk(tree, "")
+
+
+def test_load_dataset_reads_only_the_checked_manifest():
+    """`ingest.load_dataset` trusts its entry: a known dtype, files that exist
+    and an associated table only where one is allowed, as `config.load_config`
+    checked them. So its one caller is the one that holds the checked entries."""
+    callers = [(path.name, scope) for path in MODULES for scope in calls(parse(path), "load_dataset")]
+    assert callers == [("config.py", "RunConfig.load_datasets")]
