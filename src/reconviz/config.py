@@ -1,8 +1,8 @@
 """Run configuration: dataset manifest plus every tunable, built once from
 one JSON file and the command-line flags, which win over the file; an error
-in the file names it. A frozen `RunConfig` checks its ranges. Relative paths resolve
-against the config file's directory; unset resource paths fall back to the
-shipped assets.
+in the file names it. A frozen `RunConfig` checks its manifest and ranges.
+Relative paths resolve against the config file's directory; unset resource
+paths fall back to the shipped assets.
 """
 
 from __future__ import annotations
@@ -65,16 +65,37 @@ class ManifestEntry(Record):
     __slots__ = ("id", "path", "dtype", "associated")
 
 
+def _checked(datasets: tuple[ManifestEntry, ...], fail) -> tuple[ManifestEntry, ...]:
+    """The manifest `datasets`, each entry checked in turn: a known dtype; an
+    associated table only where `ASSOCIATED_OK` allows one; files that exist; an
+    id no earlier entry took. `fail(detail)` builds the error for a broken one."""
+    ids = set()
+    for entry in datasets:
+        if entry.dtype not in DATA_TYPES:
+            raise fail(f"dataset {entry.id!r}: unknown dtype {entry.dtype!r}")
+        if entry.associated is not None and entry.dtype not in ASSOCIATED_OK:
+            raise fail(f"dataset {entry.id!r}: {entry.dtype} data takes no associated table")
+        for file in (entry.path, entry.associated):
+            if file is not None and not Path(file).exists():  # a caller may give a str
+                raise fail(f"dataset {entry.id!r}: file not found: {file}")
+        if entry.id in ids:
+            raise fail(f"duplicate dataset id {entry.id!r} in manifest")
+        ids.add(entry.id)
+    return datasets
+
+
 class RunConfig:
-    """The manifest, then each SETTINGS field: its keyword argument, else its default."""
+    """The manifest, then each SETTINGS field: its keyword argument, else its
+    default. A manifest entry that breaks a rule of `_checked` raises
+    `fail(detail)`: a ConfigError, which `load_config` makes name the file."""
 
     __slots__ = ("datasets", *SETTINGS)
 
-    def __init__(self, datasets: tuple[ManifestEntry, ...] = (), **settings):
+    def __init__(self, datasets: tuple[ManifestEntry, ...] = (), *, fail=ConfigError, **settings):
         unknown = sorted(settings.keys() - SETTINGS.keys())
         if unknown:
             raise TypeError(f"RunConfig() got an unexpected keyword argument {unknown[0]!r}")
-        object.__setattr__(self, "datasets", datasets)
+        object.__setattr__(self, "datasets", _checked(tuple(datasets), fail))
         for name, (_, _, default) in SETTINGS.items():
             object.__setattr__(self, name, settings.get(name, default))
         self.validate()
@@ -130,34 +151,21 @@ def _check_kind(label: str, value, kind: str, fail) -> None:
 
 
 def _manifest(datasets, resolve, fail) -> tuple[ManifestEntry, ...]:
-    """The config file's dataset entries, each checked in turn: an object with string
-    `path` and `dtype` and, when given, string `id` and `associated`; a known dtype; an
-    associated table only where `ASSOCIATED_OK` allows one; files that exist; a new id."""
+    """The config file's dataset entries, each an object with string `path` and
+    `dtype` and, when given, string `id` and `associated`."""
     if datasets is None:
         return ()
     if not isinstance(datasets, list) or not all(isinstance(item, dict) for item in datasets):
         raise fail(f"config key 'datasets' must be a list of objects, got {json.dumps(datasets)}")
-    entries = {}  # id -> entry
     for i, item in enumerate(datasets):
         if "path" not in item or "dtype" not in item:
             raise fail(f"dataset entry {i} needs path and dtype")
         for name in ("path", "dtype", "id", "associated"):
             if name in ("path", "dtype") or item.get(name) is not None:
                 _check_kind(f"config key 'datasets': entry {i} {name!r}", item[name], "a string", fail)
-        entry = ManifestEntry(id=item.get("id") or Path(item["path"]).stem,
-                              path=resolve(item["path"]), dtype=item["dtype"],
-                              associated=resolve(item.get("associated")))
-        if entry.dtype not in DATA_TYPES:
-            raise fail(f"dataset {entry.id!r}: unknown dtype {entry.dtype!r}")
-        if entry.associated is not None and entry.dtype not in ASSOCIATED_OK:
-            raise fail(f"dataset {entry.id!r}: {entry.dtype} data takes no associated table")
-        for file in (entry.path, entry.associated):
-            if file is not None and not file.exists():
-                raise fail(f"dataset {entry.id!r}: file not found: {file}")
-        if entry.id in entries:
-            raise fail(f"duplicate dataset id {entry.id!r} in manifest")
-        entries[entry.id] = entry
-    return tuple(entries.values())
+    return tuple(ManifestEntry(id=item.get("id") or Path(item["path"]).stem,
+                               path=resolve(item["path"]), dtype=item["dtype"],
+                               associated=resolve(item.get("associated"))) for item in datasets)
 
 
 def load_config(path: str | Path, **overrides) -> RunConfig:
@@ -191,4 +199,4 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     settings.update(overrides)
     if "user_fields" in settings:
         settings["user_fields"] = tuple(settings["user_fields"])
-    return RunConfig(datasets=datasets, **settings)
+    return RunConfig(datasets=datasets, fail=fail, **settings)

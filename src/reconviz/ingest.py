@@ -63,17 +63,20 @@ class Table(Record):
 
 
 class TreeNode:
-    """One node; `parse_newick` fills in its name, length and children."""
+    """One node; `parse_newick` fills in its name, length and children. A
+    name or length it does not set reads as None, from the class."""
+
+    name: str | None = None
+    length: float | None = None
 
     def __init__(self):
-        self.name: str | None = None
-        self.length: float | None = None
         self.children: list[TreeNode] = []
 
     @cached_property
     def leaf_order(self) -> tuple["TreeNode", ...]:
-        """Leaves left to right, walked once, on first use: the tree must be
-        complete by then (`parse_newick` asks for it last). Iterative, so a
+        """Leaves left to right. `parse_newick` sets it on the root it returns,
+        from the leaves in text order; on any other node the subtree is walked
+        once, on first use, so it must be complete by then. Iterative, so a
         ladder tree of any depth works."""
         out: list[TreeNode] = []
         stack = [self]
@@ -262,8 +265,8 @@ def read_text(path: str | Path, fail) -> str:
     in `read_json` and `read_table`: a ParseError for a data file, and for the
     config or an asset file the ConfigError of `errors.config_file`."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            return f.read()
+        with open(path, encoding="utf-8") as f:  # "utf-8-sig" would import a codec
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise fail(f"not UTF-8: {exc}")
 
@@ -306,97 +309,96 @@ def read_table(path: str | Path, fail) -> Table:
     return Table(header, tuple(map(tuple, rows[1:])))
 
 
-_BLANKS = re.compile(r"(?:[ \t\r\n]|\[[^\]]*\])*")  # blanks and closed [] comments
-_LABEL = re.compile(r"[^(),:;\[]*")  # an unquoted label
-_LENGTH = re.compile(r"[^(),;\[]*")  # a branch length
+_BLANK = r"(?:[ \t\r\n]|\[[^\]]*\])"  # a blank or a closed [] comment
+_BLANKS = re.compile(_BLANK + "*")
+# Each match is one token, or blanks, which leave the group empty: punctuation;
+# a ':' and the branch length after it; an unquoted label; a quoted one; an
+# unclosed quote, or comment (to the end of the text). The matches cover the text.
+_TOKENS = re.compile(rf"""([(),;]|:(?:[^(),;\[ \t\r\n]|{_BLANK}*)[^(),;\[]*|[^(),:;\[ \t\r\n'"]"""
+                     rf"""[^(),:;\[]*|'[^']*'|"[^"]*"|['"]|\[[^\]]*\Z)|{_BLANK}+""")
 
 
 def parse_newick(text: str, path: str = "<newick>") -> TreeNode:
     """Parse a single Newick tree: named leaves, optional branch lengths,
-    optional quoted labels; [] comment blocks are skipped."""
-    pos = 0
-    n = len(text)
-
+    optional quoted labels; [] comment blocks are skipped. One regex scan
+    splits the text into tokens; only an error works out a token's offset."""
+    tokens = [*filter(None, _TOKENS.findall(text)), ""]  # "" at the end
     error = partial(ParseError, TREE, path)
+    isfinite = math.isfinite
 
-    def skip() -> None:  # past blanks and comments
-        nonlocal pos
-        if pos < n and text[pos] in " \t\r\n[":
-            pos = _BLANKS.match(text, pos).end()
-            if pos < n and text[pos] == "[":
-                raise error(f"unterminated comment at offset {pos}")
+    def offset(k: int) -> int:  # where token k starts
+        return [match.start() for match in _TOKENS.finditer(text) if match[1]][k]
 
-    def token(regex: re.Pattern) -> str:
-        """The stripped text `regex` matches at `pos`, which moves past it."""
-        nonlocal pos
-        start, pos = pos, regex.match(text, pos).end()
-        return text[start:pos].strip()
+    def stop(k: int, detail: str) -> ParseError:  # at token k; an unclosed comment there wins
+        if tokens[k][:1] == "[":
+            detail = f"unterminated comment at offset {offset(k)}"
+        return error(detail)
 
-    def finish(node: TreeNode) -> None:  # the node's label and branch length
-        nonlocal pos
-        skip()
-        if pos < n and text[pos] in "'\"":
-            end = text.find(text[pos], pos + 1)
-            if end == -1:
-                raise error(f"unterminated quoted label at offset {pos}")
-            label, pos = text[pos + 1 : end], end + 1
-        else:
-            label = token(_LABEL)
-        if label:
-            node.name = label
-        skip()
-        if pos < n and text[pos] == ":":
-            pos += 1
-            skip()
-            start = pos
-            length = token(_LENGTH)
-            try:
-                node.length = float(length)
-            except ValueError:
-                pass
-            if node.length is None or not math.isfinite(node.length):
-                raise error(f"bad branch length {length!r} at offset {start}")
+    def length(k: int) -> float:
+        """Token k's branch length, read past the blanks and comments after its ':'."""
+        start = _BLANKS.match(tokens[k], 1).end()
+        raw = tokens[k][start:]
+        try:
+            if isfinite(value := float(raw.strip())):
+                return value
+        except ValueError:
+            pass
+        detail = f"bad branch length {raw.strip()!r} at offset {offset(k) + start}"
+        raise stop(k + 1, detail) if not raw else error(detail)  # empty: ends at the next token
 
     # Clades still waiting for their ')' are kept on an explicit stack, so
     # nesting depth is not limited by Python's recursion limit.
     open_clades: list[TreeNode] = []
+    leaves: list[TreeNode] = []
+    i, tok = 0, "("
     while True:
-        skip()
-        node = TreeNode()
-        while pos < n and text[pos] == "(":
-            pos += 1
-            open_clades.append(node)
-            skip()
-            node = TreeNode()
-        finish(node)
-        while open_clades:
-            open_clades[-1].children.append(node)
-            skip()
-            if pos >= n:
-                raise error("unterminated clade: missing ')'")
-            if text[pos] == ",":
-                pos += 1
-                break  # parse the next sibling
-            if text[pos] != ")":
-                raise error(f"unexpected {text[pos]!r} at offset {pos}")
-            pos += 1
+        if tok == ")":
             node = open_clades.pop()
-            finish(node)
-        else:
+        else:  # a new node, at the start or after a ','
+            node = TreeNode()
+            while tokens[i] == "(":
+                open_clades.append(node)
+                node = TreeNode()
+                i += 1
+            leaves.append(node)
+        tok = tokens[i]
+        first = tok[:1]
+        if first not in "(),;:[":  # a label; "", the end, is in every string
+            if first in "'\"":
+                if len(tok) == 1:
+                    raise error(f"unterminated quoted label at offset {offset(i)}")
+                node.name = tok[1:-1] or None
+            else:
+                node.name = tok.strip() or None
+            i += 1
+            tok = tokens[i]
+            first = tok[:1]
+        if first == ":":
+            try:
+                value = float(tok[1:])
+            except ValueError:
+                value = math.nan
+            node.length = value if isfinite(value) else length(i)
+            i += 1
+            tok = tokens[i]
+        if not open_clades:
             break
+        open_clades[-1].children.append(node)
+        if tok != "," and tok != ")":
+            raise (stop(i, f"unexpected {tok[0]!r} at offset {offset(i)}") if tok
+                   else error("unterminated clade: missing ')'"))
+        i += 1
 
-    skip()
-    if pos >= n or text[pos] != ";":
-        raise error("missing terminating ';'")
-    pos += 1
-    skip()
-    if pos != n:
-        raise error(f"trailing content after ';' at offset {pos}")
-    labels = [leaf.name for leaf in node.leaf_order]
-    if any(not lbl for lbl in labels):
+    if tok != ";":
+        raise stop(i, "missing terminating ';'")
+    if tokens[i + 1]:
+        raise stop(i + 1, f"trailing content after ';' at offset {offset(i + 1)}")
+    labels = [leaf.name for leaf in leaves]
+    if not all(labels):
         raise error("tree has unnamed leaves")
     if len(set(labels)) != len(labels):
         raise error("tree has duplicate leaf labels")
+    node.leaf_order = tuple(leaves)
     return node
 
 

@@ -21,7 +21,7 @@ from reconviz import charts, cli, pipeline
 from reconviz.charts import DRAWABLE
 from reconviz.cli import main
 from reconviz.chartspec import load_templates, slot_accepts
-from reconviz.config import ASSETS_DIR, RunConfig
+from reconviz.config import ASSETS_DIR, ManifestEntry, RunConfig
 from reconviz.errors import ConfigError
 from reconviz.ingest import explode_fields, load_dataset
 
@@ -739,6 +739,16 @@ class TestRobustness:
         assert err.startswith("error: ") and name in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_marked_file_with_a_bad_byte_is_not_utf8(self, tmp_path, capsys):
+        """The byte-order mark is dropped after decoding, so a bad byte after
+        it still fails the decoding, at its offset in the file's bytes."""
+        (tmp_path / "t.nwk").write_bytes(b"\xef\xbb\xbf((a:1,b:1):1,(\xff:1,d:2):1);\n")
+        cfg = write_config(tmp_path, [{"id": "t", "path": str(tmp_path / "t.nwk"), "dtype": "tree"}])
+        assert run(["link", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse tree data at {tmp_path / 't.nwk'}: not UTF-8: ")
+        assert "byte 0xff in position 17:" in err
+
     def test_fieldless_datasets_warn_once_each_and_leave_outputs_alone(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text("pid,grp\n" + "".join(f"p{i},g{i % 2}\n" for i in range(14)))
         (tmp_path / "blank.csv").write_text("a,b\nNA,\nna,null\n")
@@ -1098,6 +1108,29 @@ class TestUsageAndDeterminism:
             config.max_charts = 0
         with pytest.raises(ConfigError, match="max_charts"):
             RunConfig(max_charts=0)
+
+    @pytest.mark.parametrize("entries, needle", [
+        ([("x", "cases.csv", "bogus", None)], "dataset 'x': unknown dtype 'bogus'"),
+        ([("x", "cases.csv", "tabular", "phylo_meta.csv")],
+         "dataset 'x': tabular data takes no associated table"),
+        ([("x", "phylo.nwk", "tree", "nope.csv")], "dataset 'x': file not found: "),
+        ([("x", "nope.csv", "tabular", None)], "dataset 'x': file not found: "),
+        ([("x", "cases.csv", "tabular", None), ("x", "phylo.nwk", "tree", None)],
+         "duplicate dataset id 'x' in manifest"),
+    ], ids=["unknown dtype", "associated on tabular", "missing associated file",
+            "missing data file", "duplicate id"])
+    def test_a_run_config_built_in_code_keeps_the_manifest_rules(self, fig1_dir, entries, needle):
+        """A broken entry given to RunConfig raised KeyError in load_datasets."""
+        datasets = tuple(ManifestEntry(ds_id, fig1_dir / path, dtype,
+                                       associated and fig1_dir / associated)
+                         for ds_id, path, dtype, associated in entries)
+        with pytest.raises(ConfigError) as caught:
+            RunConfig(datasets=datasets).load_datasets()
+        assert str(caught.value).startswith(needle)
+
+    def test_a_run_config_built_in_code_takes_string_paths(self, fig1_dir):
+        entry = ManifestEntry("x", str(fig1_dir / "cases.csv"), "tabular", None)
+        assert [ds.id for ds in RunConfig(datasets=(entry,)).load_datasets()] == ["x"]
 
     def test_two_runs_are_byte_identical(self, synthetic_dir, tmp_path):
         outputs = []

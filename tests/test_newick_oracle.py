@@ -5,7 +5,9 @@ children of every node), or both raise a ParseError with the same message."""
 from __future__ import annotations
 
 import math
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from reconviz.errors import ParseError
@@ -149,7 +151,7 @@ _PIECES = st.sampled_from([
 
 # (shape, with None for a leaf and a list of children for a clade)
 _SHAPES = st.recursive(st.none(), lambda kids: st.lists(kids, min_size=1, max_size=4),
-                       max_leaves=20)
+                       max_leaves=200)
 _BLANKS = st.sampled_from(["", "", " ", "\t", "\r\n", "[c]", " [&R] ", "[]"])
 _LENGTHS = st.sampled_from(["", "", ":1", ":0.5", ": 2.0 ", ":-1e-3", ":1e300", ":[c]3"])
 
@@ -173,7 +175,17 @@ def valid_trees(draw) -> str:
     return draw(_BLANKS) + write(draw(_SHAPES)) + draw(_BLANKS) + ";" + draw(_BLANKS)
 
 
+# texts where a branch length needs more than one look: comments after its
+# ':', an unclosed one there, a blank only `str.strip` removes, a ':' inside
+EDGE_TEXTS = ["(a:[c]1,b);", "(a: [c] [d]1 ,b);", "(a: [x,b);", "(a:[x", "(a:\x1c[c]1,b);",
+              "(a:\x1c1,b);", "(a:1[c]:2,b);", "(a:1:2,b);", "(a:'1',b);", "(a:,b);", "a:;"]
+
+
 class TestNewickOracle:
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_edge_texts_parse_as_the_reference_does(self, text):
+        assert outcome(parse_newick, text) == outcome(reference_parse_newick, text)
+
     @settings(max_examples=2000, deadline=None, derandomize=True)
     @given(st.lists(_PIECES, max_size=40).map("".join))
     def test_any_text_parses_as_the_reference_does(self, text):
@@ -185,3 +197,66 @@ class TestNewickOracle:
         expected = outcome(reference_parse_newick, text)
         assert not isinstance(expected, str), expected
         assert outcome(parse_newick, text) == expected
+
+
+def yule_tree(leaves: int, seed: int, dressed: bool = False) -> str:
+    """Newick text of a random binary tree shaped like the Ebola-scale fixture:
+    two clades drawn at random are joined until one is left (the Yule shape),
+    and every branch has a 4-decimal length. The dressed text of the same tree
+    quotes its labels, which then hold `(),:;[` and blanks at both ends, and
+    puts blanks and comments between tokens."""
+    rng, dress = random.Random(seed), random.Random(-seed)
+    gaps = ["", " ", "\n", "[c]", " [&R] ", "\t[c,d:(e)]"]
+    gap = (lambda: dress.choice(gaps)) if dressed else str
+
+    def length() -> str:
+        return f"{gap()}:{gap()}{rng.uniform(0.001, 0.2):.4f}{gap()}"
+
+    clades = [f"' E{i:04d} (x,y):z;[w '" if dressed else f"E{i:04d}" for i in range(1, leaves + 1)]
+    clades = [f"{gap()}{label}{length()}" for label in clades]
+    while len(clades) > 1:
+        a = clades.pop(rng.randrange(len(clades)))
+        b = clades.pop(rng.randrange(len(clades)))
+        clades.append(f"{gap()}({a},{b}){length() if clades else gap()}")  # the root has none
+    return clades[0] + ";" + gap()
+
+
+EBOLA_SHAPED = yule_tree(1600, seed=1)
+EBOLA_DRESSED = yule_tree(1600, seed=1, dressed=True)
+
+
+def edit_sites(tree: str) -> list[int]:
+    """Fixed offsets past 10,000: the first of each of `(),:'.]` at or after two
+    fixed points. In a dressed tree `(),:` also stand in labels, `'` bounds a
+    label, `]` ends a comment and `.` stands in a length."""
+    return sorted({tree.find(char, start) for start in (10_007, 25_013) for char in "(),:'.]"} - {-1})
+
+
+class TestLongTrees:
+    @pytest.mark.parametrize("text", [EBOLA_SHAPED, EBOLA_DRESSED], ids=["plain", "dressed"])
+    def test_an_ebola_sized_tree_parses_as_the_reference_does(self, text):
+        expected = outcome(reference_parse_newick, text)
+        assert not isinstance(expected, str), expected
+        assert outcome(parse_newick, text) == expected
+
+    def test_the_dressed_text_is_the_same_tree(self):
+        def unnamed(shape: tuple) -> tuple:
+            name, length, children = shape
+            return (bool(name), length, [unnamed(child) for child in children])
+
+        plain, dressed = (shape(reference_parse_newick(t)) for t in (EBOLA_SHAPED, EBOLA_DRESSED))
+        assert unnamed(plain) == unnamed(dressed)
+
+    @pytest.mark.parametrize("tree", [EBOLA_SHAPED, EBOLA_DRESSED], ids=["plain", "dressed"])
+    def test_one_character_changed_deep_in_a_long_tree(self, tree):
+        """Each change makes an error, or moves where tokens start, past
+        offset 10,000: both parsers give the same outcome."""
+        errors = set()
+        for offset in edit_sites(tree):
+            for char in "(),:;[]'\" x":
+                text = tree[:offset] + char + tree[offset + 1:]
+                expected = outcome(reference_parse_newick, text)
+                if isinstance(expected, str):
+                    errors.add(expected)
+                assert outcome(parse_newick, text) == expected, (offset, char)
+        assert len(errors) >= 20
